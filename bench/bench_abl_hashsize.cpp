@@ -11,7 +11,7 @@
 #include <bit>
 
 #include "accumulator/hash_table.hpp"
-#include "core/spgemm_twophase.hpp"
+#include "core/spgemm_handle.hpp"
 #include "matrix/rmat.hpp"
 
 namespace {
@@ -53,7 +53,7 @@ void run_sizing(benchmark::State& state) {
 
   spgemm::SpGemmStats stats;
   for (auto _ : state) {
-    auto c = spgemm::detail::spgemm_two_phase<I, double>(
+    auto c = spgemm::detail::run_once<I, double>(
         a, a, opts, SizedHashPolicy{shift}, &stats);
     benchmark::DoNotOptimize(c.vals.data());
   }

@@ -3,9 +3,10 @@
 // budgets (machine-readable; needs no google-benchmark).
 //
 // Three experiments, all emitted to BENCH_abl_schedule.json:
-//   1. fused-vs-unfused: one-shot multiply() now runs the tile-fused driver
-//      (symbolic+numeric back to back per tile, A/B rows cache-hot) on the
-//      same schedule the handle plans with.  Rows "fused one-shot" vs
+//   1. fused-vs-unfused: one-shot multiply() runs the tile loop in its
+//      one-shot order (symbolic+numeric back to back per tile, A/B rows
+//      cache-hot) on the same schedule the handle plans with.  Rows
+//      "fused one-shot" vs
 //      "plan+execute once" on the scale-16 G500 squaring benchmark show
 //      what the fusion is worth for a product computed exactly once.
 //   2. schedule policies: static vs dynamic vs stealing wall time (and

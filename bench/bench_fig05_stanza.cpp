@@ -3,7 +3,8 @@
 //   (1) MEASURED bandwidth on this host's memory (exercises the real
 //       stanza access path the paper's microbenchmark used), and
 //   (2) the MODELED DDR-vs-MCDRAM curves from the two-tier memory model
-//       (the hardware substitution for KNL's MCDRAM; see DESIGN.md).
+//       (the hardware substitution for KNL's MCDRAM; see README
+//       "Stand-in kernels").
 #include <cstdio>
 #include <vector>
 

@@ -4,7 +4,7 @@
 // No MCDRAM exists on this host, so the speedups come from the two-tier
 // memory model fed with the MEASURED flop / nnz / working-set numbers of
 // each actual multiply (the access mix is the real kernel's; only the
-// memory-tier timing is modeled — see DESIGN.md substitutions).
+// memory-tier timing is modeled — see README "Stand-in kernels").
 #include <cstdio>
 #include <vector>
 

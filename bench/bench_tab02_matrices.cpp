@@ -1,7 +1,8 @@
 // Table 2 reproduction: the 26-matrix corpus.  For each proxy, print the
 // paper's reported statistics next to the generated stand-in's measured
 // n / nnz / flop(A^2) / nnz(A^2), so EXPERIMENTS.md can record how faithful
-// each substitution is (dimension-capped by default; see DESIGN.md).
+// each substitution is (dimension-capped by default; see README "Stand-in
+// kernels").
 #include <cstdio>
 
 #include "bench_suitesparse_common.hpp"

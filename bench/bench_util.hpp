@@ -293,7 +293,7 @@ inline void print_banner(const char* figure, const char* description) {
   std::printf("mode: %s   trials: %d\n",
               full_scale() ? "FULL (paper scale)" : "scaled (CI default)",
               trials());
-  std::printf("* = stand-in implementation (see DESIGN.md substitutions)\n");
+  std::printf("* = stand-in implementation (see README \"Stand-in kernels\")\n");
   std::printf("==============================================================\n");
 }
 

@@ -2,7 +2,7 @@
 // a dense value array plus an occupancy flag per column and a list of
 // touched columns.  O(ncols) memory per thread, O(1) insert, reset in
 // O(row nnz).  This is the accumulator behind the MKL stand-ins (see
-// DESIGN.md substitutions) and the classic Gustavson formulation.
+// README "Stand-in kernels") and the classic Gustavson formulation.
 #pragma once
 
 #include <algorithm>

@@ -2,35 +2,28 @@
 //
 // Dispatches to the requested kernel (or the Table 4 recipe when kAuto) and
 // enforces input-sortedness preconditions.  Every TWO-PHASE kernel (hash,
-// hashvec, SPA, kkhash, adaptive) runs the TILE-FUSED driver
-// (core/spgemm_twophase.hpp): symbolic and numeric execute back to back per
-// tile of the ExecutionSchedule, while the A/B rows and accumulator state
-// are still cache-hot — the right shape for a product that is computed
-// exactly once.  Repeated products should plan a SpGemmHandle instead; the
-// fused driver and the handle share the same row-level primitives, kernel
-// policies and schedule cuts, so their outputs are bit-identical.
-// One-phase kernels (heap, merge, ikj, spa1p) and the reference oracle keep
-// their direct implementations.
+// hashvec, SPA, kkhash, adaptive) runs detail::run_once(): the one tile
+// loop of core/spgemm_handle.hpp (detail::KernelPlan) in its one-shot
+// order, where each tile's numeric rows run right after its symbolic rows
+// while the A/B rows and accumulator state are cache-hot — the right shape
+// for a product computed exactly once.  Repeated products should plan a
+// SpGemmHandle instead; both paths run the same row bodies, kernel policies
+// and schedule cuts, so their outputs are bit-identical.  One-phase kernels
+// (heap, merge, ikj, spa1p) and the reference oracle keep their direct
+// implementations.
 #pragma once
 
 #include <stdexcept>
 #include <type_traits>
 
-#include "core/recipe.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
-#include "core/spgemm_hash.hpp"
-#include "core/spgemm_hashvector.hpp"
 #include "core/spgemm_heap.hpp"
 #include "core/spgemm_ikj.hpp"
-#include "core/spgemm_kkhash.hpp"
 #include "core/spgemm_merge.hpp"
 #include "core/spgemm_options.hpp"
 #include "core/spgemm_policies.hpp"
 #include "core/spgemm_ref.hpp"
-#include "core/spgemm_spa.hpp"
 #include "core/spgemm_spa1p.hpp"
-#include "core/spgemm_twophase.hpp"
 
 namespace spgemm {
 namespace detail {
@@ -40,20 +33,20 @@ constexpr bool supports_semiring(Algorithm algo) {
   return algo == Algorithm::kHeap || is_two_phase(algo);
 }
 
-/// One-shot tile-fused multiply for any two-phase kernel: the fused driver
-/// with the kernel's planning policy (with_plan_policy — the same mapping
-/// SpGemmHandle plans with).  The adaptive kernel flows through the same
-/// driver via its dual accumulator, so every two-phase algorithm shares one
-/// fused code path.
+constexpr bool any_kernel(Algorithm /*algo*/) { return true; }
+
+/// One-shot product for any two-phase kernel: run_once() with the kernel's
+/// planning policy (with_plan_policy — the same mapping SpGemmHandle plans
+/// with).
 template <typename SR, IndexType IT, ValueType VT>
-CsrMatrix<IT, VT> multiply_fused(const CsrMatrix<IT, VT>& a,
-                                 const CsrMatrix<IT, VT>& b,
-                                 const SpGemmOptions& opts,
-                                 SpGemmStats* stats) {
+CsrMatrix<IT, VT> multiply_two_phase(
+    const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
+    const SpGemmOptions& opts, SpGemmStats* stats,
+    const EpilogueContext<IT, VT>* epi = nullptr) {
   return with_plan_policy<IT, VT>(
       opts.algorithm, opts.probe, b.ncols, [&](auto policy) {
-        return spgemm_two_phase<IT, VT>(a, b, opts, std::move(policy), stats,
-                                        SR{});
+        return run_once<IT, VT>(a, b, opts, std::move(policy), stats, SR{},
+                                epi);
       });
 }
 
@@ -61,7 +54,8 @@ CsrMatrix<IT, VT> multiply_fused(const CsrMatrix<IT, VT>& a,
 
 /// SpGEMM over an arbitrary semiring (core/semiring.hpp).  Supported by the
 /// hash-family, SPA, adaptive and heap kernels — the ones whose accumulators
-/// fold values; the remaining baselines are (+,*)-only and throw.
+/// fold values; the remaining baselines are (+,*)-only and throw.  kAuto
+/// falls back to Hash when the recipe picks one of those.
 template <typename SR, IndexType IT, ValueType VT>
   requires SemiringFor<SR, VT>
 CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
@@ -71,23 +65,15 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
   if (a.ncols != b.nrows) {
     throw std::invalid_argument("multiply_over: inner dimensions disagree");
   }
-  if (opts.algorithm == Algorithm::kAuto) {
-    // Same recipe as multiply(); kernels that cannot fold through a custom
-    // semiring (merge, ikj, spa1p, reference) fall back to Hash.
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-    if (!detail::supports_semiring(opts.algorithm)) {
-      opts.algorithm = Algorithm::kHash;
-    }
-  }
+  opts.algorithm =
+      detail::resolve_algorithm(a, b, opts, detail::supports_semiring);
   if (requires_sorted_input(opts.algorithm) &&
       (!a.claims_sorted() || !b.claims_sorted())) {
     throw std::invalid_argument(
         "multiply_over: kernel requires sorted inputs");
   }
   if (is_two_phase(opts.algorithm)) {
-    return detail::multiply_fused<SR>(a, b, opts, stats);
+    return detail::multiply_two_phase<SR>(a, b, opts, stats);
   }
   if (opts.algorithm == Algorithm::kHeap) {
     return spgemm_heap(a, b, opts, stats, SR{});
@@ -118,22 +104,13 @@ CsrMatrix<IT, VT> multiply_with_epilogue(
     throw std::invalid_argument(
         "multiply_with_epilogue: kRap runs through multiply_rap()");
   }
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-    if (!is_two_phase(opts.algorithm)) opts.algorithm = Algorithm::kHash;
-  }
+  opts.algorithm = detail::resolve_algorithm(a, b, opts, is_two_phase);
   if (!is_two_phase(opts.algorithm)) {
     throw std::invalid_argument(
         "multiply_with_epilogue: fused epilogues need a two-phase kernel");
   }
   const detail::EpilogueContext<IT, VT> ectx{mask, result};
-  return detail::with_plan_policy<IT, VT>(
-      opts.algorithm, opts.probe, b.ncols, [&](auto policy) {
-        return detail::spgemm_two_phase<IT, VT>(
-            a, b, opts, std::move(policy), stats, PlusTimes{}, &ectx);
-      });
+  return detail::multiply_two_phase<PlusTimes>(a, b, opts, stats, &ectx);
 }
 
 template <IndexType IT, ValueType VT>
@@ -145,11 +122,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
     throw std::invalid_argument("multiply: inner dimensions disagree");
   }
 
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-  }
+  opts.algorithm = detail::resolve_algorithm(a, b, opts, detail::any_kernel);
   if (requires_sorted_input(opts.algorithm) && !a.claims_sorted()) {
     throw std::invalid_argument(
         "multiply: kernel requires sorted inputs but A is unsorted");
@@ -160,7 +133,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
   }
 
   if (is_two_phase(opts.algorithm)) {
-    return detail::multiply_fused<PlusTimes>(a, b, opts, stats);
+    return detail::multiply_two_phase<PlusTimes>(a, b, opts, stats);
   }
   switch (opts.algorithm) {
     case Algorithm::kHeap:

@@ -14,15 +14,21 @@
 //
 // plan() runs the symbolic phase once and PERSISTS everything the numeric
 // phase needs: the flop-balanced row partition and tile plan, the per-thread
-// accumulators and captured slot streams (the PR-1 capture/replay protocol
-// of core/spgemm_twophase.hpp — the row-level code is literally shared), and
-// the output skeleton (row pointers + column indices).  execute() then runs
+// accumulators and captured slot streams (the capture/replay protocol of
+// core/spgemm_twophase.hpp), and the output skeleton (row pointers + column
+// indices).  execute() then runs
 // the numeric phase only: captured rows replay their slot stream with zero
 // hash probing, budget-overflow rows re-probe, and every value lands
 // directly at its final offset — no staging copy, no allocation, no
 // zero-initializing resize.  The pooled output and all workspaces are
 // grow-only across plan() calls, so one handle can serve a stream of
 // differently-sized products without churning the allocator.
+//
+// The two-phase tile loop itself lives here, once, in detail::KernelPlan:
+// plan() and execute() run its symbolic and numeric passes separately, and
+// a one-shot multiply() runs detail::run_once(), which interleaves the same
+// row bodies per tile (symbolic, then numeric while the tile is cache-hot)
+// and keeps nothing.  Both paths therefore produce bit-identical outputs.
 //
 // Kernels: Hash, HashVector, SPA, KKHash and Adaptive (per-row tiny/hash/
 // SPA regimes) all plan and execute through this one surface; kAuto defers
@@ -88,7 +94,6 @@ struct HandleTelemetry {
   telemetry::Counter& numeric_keys;
   telemetry::Counter& flop;
   telemetry::Counter& tile_steals;
-  telemetry::Counter& pages_retouched;
   static HandleTelemetry& get() {
     auto& reg = telemetry::registry();
     static HandleTelemetry t{
@@ -109,9 +114,7 @@ struct HandleTelemetry {
                     "Scalar multiplications planned (per plan, not per "
                     "execute)."),
         reg.counter("spgemm_tile_steals_total",
-                    "Tiles run by a thread other than their owner."),
-        reg.counter("spgemm_pages_retouched_total",
-                    "Pooled-output pages rewritten by their owning thread.")};
+                    "Tiles run by a thread other than their owner.")};
     return t;
   }
 };
@@ -134,29 +137,43 @@ constexpr bool is_two_phase(Algorithm algo) {
 
 namespace detail {
 
+/// kAuto resolves to the Table 4 recipe's kernel for A·B; a recipe pick
+/// that `usable` rejects falls back to Hash.  An explicit kernel passes
+/// through unchanged.
+template <IndexType IT, ValueType VT>
+Algorithm resolve_algorithm(const CsrMatrix<IT, VT>& a,
+                            const CsrMatrix<IT, VT>& b,
+                            const SpGemmOptions& opts,
+                            bool (*usable)(Algorithm)) {
+  if (opts.algorithm != Algorithm::kAuto) return opts.algorithm;
+  const Algorithm pick =
+      recipe::select_for(a, b, recipe::Operation::kSquare, opts.sort_output,
+                         recipe::DataOrigin::kReal);
+  return usable(pick) ? pick : Algorithm::kHash;
+}
+
 // ---- Persisted plan state -------------------------------------------------
 //
-// The per-kernel planning policies live in core/spgemm_policies.hpp; the
-// fused one-shot driver runs the exact same policy objects.
+// The per-kernel planning policies live in core/spgemm_policies.hpp.
 
 /// One planned row: where its slot stream lives and how to emit it.
 template <IndexType IT>
 struct PlannedRow {
   std::size_t cap_off = 0;  ///< slot-stream start in the capture buffer
   IT nnz = 0;
-  bool captured = false;  ///< replayable; otherwise execute re-probes
+  bool captured = false;  ///< replayable; otherwise the numeric step probes
   bool sorted = false;    ///< columns recorded in ascending order
 };
 
-/// A row-range tile owned by one thread, with its offset into the thread's
-/// staged skeleton columns.
+/// A row-range tile run by one thread, with its offset into the thread's
+/// staged buffers.
 struct PlannedTile {
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
   std::size_t stage_begin = 0;
 };
 
-/// Everything one thread persists between plan() and execute() calls: its
+/// Everything one thread keeps between the passes of a plan: its
 /// accumulator (prepared, keys clean), its captured slot streams, its tile
 /// list and per-row records, and the skeleton columns it produced.
 template <IndexType IT, ValueType VT, typename Acc>
@@ -168,11 +185,13 @@ struct ThreadPlan {
   std::vector<PlannedTile> tiles;
   std::vector<PlannedRow<IT>> rows;  ///< tile processing order
   mem::Buffer<IT> staged_cols;       ///< skeleton cols, processing order
-  // ---- Fused-epilogue executes (numeric_fused) -------------------------
-  // The kept (post-epilogue) entries of this thread's tiles, appended in
-  // processing order, plus one record per tile for the placement copy.
-  // Grow-only across executes, like every other workspace here; a row's
-  // full intermediate lives only in row_vals/row_cols while cache-hot.
+  // ---- Staged output (numeric_fused, once) ------------------------------
+  // The output entries of this thread's tiles, appended in processing
+  // order, plus one record per tile for the placement copy: the kept
+  // (post-epilogue) entries of a fused execute, or the whole staged output
+  // of a one-shot.  Grow-only across executes, like every other workspace
+  // here; a fused execute's full row lives only in row_vals/row_cols while
+  // cache-hot.
   mem::Buffer<IT> kept_cols;
   mem::Buffer<VT> kept_vals;
   std::vector<PlannedTile> kept_tiles;
@@ -223,7 +242,7 @@ struct PlanCore {
   parallel::ExecutionSchedule schedule;  ///< persisted tile plan + policy
   std::size_t tile_rows = 0;
   bool capture_enabled = false;
-  /// Requested batching mode for the build pass (kernels whose
+  /// Requested batching mode for the symbolic pass (kernels whose
   /// accumulator implements the batch-capture contract; kAuto defers to
   /// the per-thread table-size gate).
   ProbeBatch probe_batching = ProbeBatch::kAuto;
@@ -240,275 +259,421 @@ struct PlanCore {
   std::uint64_t rows_captured = 0;
 };
 
-/// Kernel-specific plan state + the plan/execute passes.  The row-level
-/// work delegates to the shared primitives of core/spgemm_twophase.hpp.
+/// Resolve the shape of a product: the flop-balanced (or equal-row)
+/// partition, the tiling and capture budget, and the ExecutionSchedule cut
+/// from them.  `default_budget_bytes` is the capture budget of the path
+/// (one-shot or persistent plan) when opts.reuse_budget_bytes is 0.  The
+/// caller keeps a ScopedNumThreads alive around this and every pass.
+template <IndexType IT, ValueType VT>
+void init_plan_core(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
+                    const CsrMatrix<IT, VT>& b, const SpGemmOptions& opts,
+                    std::size_t default_budget_bytes) {
+  const auto nrows = static_cast<std::size_t>(a.nrows);
+  core.opts = opts;
+  core.nrows = a.nrows;
+  core.ncols = b.ncols;
+  core.nthreads = parallel::resolve_threads(opts.threads);
+  core.part =
+      parallel::is_balanced(opts.schedule)
+          ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
+                                      b.rpts.data(), core.nthreads)
+          : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
+                                 b.rpts.data(), core.nthreads);
+  const TileConfig cfg = resolve_tile_config(core.part, opts, nrows,
+                                             default_budget_bytes, sizeof(IT));
+  core.budget_entries = cfg.budget_entries;
+  core.capture_enabled = cfg.capture_enabled;
+  core.probe_batching = cfg.probe_batching;
+  core.replay_kind = resolve_probe_kind(opts.probe);
+  core.tile_rows = cfg.tile_rows;
+  build_schedule(core.schedule, core.part, opts, cfg);
+}
+
+/// The symbolic-side stats every two-phase product reports, from its core.
+template <IndexType IT, ValueType VT>
+void fill_symbolic_stats(const PlanCore<IT, VT>& core, Offset nnz_out,
+                         SpGemmStats& s) {
+  s.flop = core.part.total_flop();
+  s.nnz_out = nnz_out;
+  s.symbolic_probes = core.symbolic_probes;
+  s.symbolic_keys = core.symbolic_keys;
+  s.probes = core.symbolic_probes;
+  s.tile_count = core.tile_count;
+  s.tile_steals = core.schedule.steals();
+  s.reuse_rows_captured = core.rows_captured;
+  s.reuse_rows_total = static_cast<std::uint64_t>(core.nrows);
+}
+
+/// Probe-round and keys-resolved tallies of one phase.
+struct Work {
+  std::uint64_t probes = 0;
+  std::uint64_t keys = 0;
+  Work& operator+=(Work w) {
+    probes += w.probes;
+    keys += w.keys;
+    return *this;
+  }
+};
+
+/// Work of one phase summed over the threads of a parallel region.
+struct WorkTotal {
+  std::atomic<std::uint64_t> probes{0};
+  std::atomic<std::uint64_t> keys{0};
+  void add(Work w) {
+    probes.fetch_add(w.probes, std::memory_order_relaxed);
+    keys.fetch_add(w.keys, std::memory_order_relaxed);
+  }
+  [[nodiscard]] Work load() const {
+    return {probes.load(std::memory_order_relaxed),
+            keys.load(std::memory_order_relaxed)};
+  }
+};
+
+/// Kernel-specific plan state and THE two-phase tile loop.  The symbolic
+/// row body, the numeric row body, the staged-tile placement and the work
+/// tallies exist once, here; build() + numeric()/numeric_fused() (a
+/// persistent plan and its executes) and once() (a one-shot multiply) only
+/// differ in how they order those pieces and what they keep.  The loop has
+/// the paper's structure: a flop-balanced row partition (Fig. 6) cut into
+/// tiles, one accumulator per thread prepared inside the owning thread
+/// ("parallel" memory scheme, §3.2), and the accumulator as the Policy's
+/// type — Hash, HashVector, SPA, the two-level hash map and Adaptive differ
+/// only in their accumulation data structure.
 template <IndexType IT, ValueType VT, typename Policy>
 struct KernelPlan {
   using Acc = typename Policy::Acc;
+  using Thread = ThreadPlan<IT, VT, Acc>;
+  using Matrix = CsrMatrix<IT, VT>;
+  static constexpr bool kPolicyBatches = BatchProbe<Acc, IT>;
 
   Policy policy;
-  std::vector<ThreadPlan<IT, VT, Acc>> threads;
+  std::vector<Thread> threads;
 
   explicit KernelPlan(Policy p) : policy(std::move(p)) {}
 
-  /// Symbolic phase over all rows: capture slot streams, stage skeleton
-  /// columns, record per-row counts into core.rpts (unscanned).  Tiles are
-  /// handed out by the persisted ExecutionSchedule; the assignment this
-  /// pass settles on (including any steals) is frozen into the per-thread
-  /// tile lists, which execute() replays with perfect affinity.
-  void build(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
-             const CsrMatrix<IT, VT>& b) {
-    const auto nrows = static_cast<std::size_t>(a.nrows);
+  /// Per-thread scratch of one symbolic pass.
+  struct SymbolicScratch {
+    bool batch = false;  ///< resolved batching decision of this thread
+    mem::ThreadScratch<IT> keys;
+    mem::ThreadScratch<IT> count_slots;
+    std::vector<std::pair<IT, IT>> sort_buf;  ///< (col, slot), sorted rows
+  };
 
-    // Re-planning on a live handle recycles the per-thread state grow-only:
-    // accumulators and capture scratch keep their (pool-backed) storage, and
-    // the tile/row/staged vectors keep their capacity.
-    if (threads.size() != static_cast<std::size_t>(core.nthreads)) {
-      threads.clear();
-      threads.reserve(static_cast<std::size_t>(core.nthreads));
-      for (int t = 0; t < core.nthreads; ++t) {
-        threads.emplace_back(policy.make());
+  /// Per-thread timing of a one-shot pass (slowest thread wins).
+  struct OnceTimes {
+    double symbolic_s = 0.0;
+    double numeric_s = 0.0;
+    double place_s = 0.0;
+  };
+
+  static Work counters(const Acc& acc) {
+    return {acc.probes(), keys_resolved_of(acc)};
+  }
+  /// Work the accumulator did since `mark`; advances `mark`.
+  static Work since(const Acc& acc, Work& mark) {
+    const Work now = counters(acc);
+    const Work delta{now.probes - mark.probes, now.keys - mark.keys};
+    mark = now;
+    return delta;
+  }
+  static Offset row_flop(const PlanCore<IT, VT>& core, std::size_t i) {
+    return core.part.flop_prefix[i + 1] - core.part.flop_prefix[i];
+  }
+
+  /// Re-planning on a live handle recycles the per-thread state grow-only:
+  /// accumulators and capture scratch keep their (pool-backed) storage, and
+  /// the tile/row/staged vectors keep their capacity.
+  void ensure_threads(int nthreads) {
+    if (threads.size() == static_cast<std::size_t>(nthreads)) return;
+    threads.clear();
+    threads.reserve(static_cast<std::size_t>(nthreads));
+    for (int t = 0; t < nthreads; ++t) threads.emplace_back(policy.make());
+  }
+
+  /// Prepare thread `tid` for a symbolic pass, inside the owning thread:
+  /// size its accumulator, resolve batching, and size its capture buffer
+  /// (a thread never records more than 2 * its flop in slots, so small
+  /// products need far less than the full budget).  Returns the capture
+  /// buffer, or nullptr when capture is off.
+  IT* begin_symbolic(const PlanCore<IT, VT>& core, Thread& tp, int tid,
+                     IT ncols_b, SymbolicScratch& s) const {
+    policy.prepare(tp.acc, core.schedule.sizing_max_row_flop(tid), ncols_b);
+    s.batch = kPolicyBatches && thread_batches(core.probe_batching, tp.acc);
+    const auto flop_bound =
+        static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
+    tp.capture_entries =
+        core.capture_enabled
+            ? std::min(core.budget_entries, 2 * flop_bound + 16)
+            : 0;
+    return core.capture_enabled ? tp.capture.ensure(tp.capture_entries)
+                                : nullptr;
+  }
+
+  /// The symbolic row body.  Row i captures its slot stream at
+  /// cap + cap_used when it fits the thread's capture buffer and is counted
+  /// otherwise.  `cols` grows to stage_off + nnz: a captured row freezes
+  /// its gather order and writes its columns there; a counted row writes
+  /// them only when `fallback_cols` (the plan skeleton needs them, a
+  /// one-shot's numeric probe emits them itself).
+  PlannedRow<IT> symbolic_row(const PlanCore<IT, VT>& core, Thread& tp,
+                              SymbolicScratch& s, const Matrix& a,
+                              const Matrix& b, std::size_t i, IT* cap,
+                              std::size_t& cap_used, mem::Buffer<IT>& cols,
+                              std::size_t stage_off, bool fallback_cols) {
+    Acc& acc = tp.acc;
+    const Offset flop = row_flop(core, i);
+    const bool force_sorted = policy.begin_row(acc, flop);
+    PlannedRow<IT> row;
+    row.sorted = core.opts.sort_output == SortOutput::kYes || force_sorted;
+    row.cap_off = cap_used;
+    row.captured = cap != nullptr &&
+                   cap_used + 2 * static_cast<std::size_t>(flop) <=
+                       tp.capture_entries;
+    if (row.captured) {
+      std::size_t ns;
+      if constexpr (kPolicyBatches) {
+        ns = s.batch ? capture_row_batch(acc, a, b, i, flop, cap + cap_used,
+                                         s.keys)
+                     : capture_row(acc, a, b, i, cap + cap_used);
+      } else {
+        ns = capture_row(acc, a, b, i, cap + cap_used);
+      }
+      const std::size_t nnz = acc.count();
+      row.nnz = static_cast<IT>(nnz);
+      // Gather slots (and final column order) are fixed now, while the
+      // accumulator still holds the row.
+      cols.resize(stage_off + nnz);
+      record_gather<IT, VT>(acc, nnz, row.sorted, cap + cap_used + ns,
+                            cols.data() + stage_off, s.sort_buf);
+      cap_used += ns + nnz;
+    } else {
+      if constexpr (kPolicyBatches) {
+        if (s.batch) {
+          count_row_batch(acc, a, b, i, flop, s.keys, s.count_slots);
+        } else {
+          count_row(acc, a, b, i);
+        }
+      } else {
+        count_row(acc, a, b, i);
+      }
+      const std::size_t nnz = acc.count();
+      row.nnz = static_cast<IT>(nnz);
+      cols.resize(stage_off + nnz);
+      if (fallback_cols) {
+        IT* out_cols = cols.data() + stage_off;
+        acc.extract_keys(out_cols);
+        if (row.sorted) std::sort(out_cols, out_cols + nnz);
       }
     }
+    acc.reset();
+    return row;
+  }
 
+  /// The numeric row body: a captured row replays its slot stream and
+  /// gathers its values to out_vals (its columns were staged by the
+  /// symbolic step); a counted row re-probes and extracts columns and
+  /// values to (out_cols, out_vals).
+  template <typename SR>
+  void numeric_row(const PlanCore<IT, VT>& core, Acc& acc, const Matrix& a,
+                   const Matrix& b, std::size_t i, const PlannedRow<IT>& row,
+                   const IT* cap, IT* out_cols, VT* out_vals) {
+    policy.begin_row(acc, row_flop(core, i));
+    if (row.captured) {
+      const IT* slot_stream = cap + row.cap_off;
+      const std::size_t ns =
+          replay_row<SR>(acc, a, b, i, slot_stream, core.replay_kind);
+      gather_values(static_cast<const VT*>(acc.slot_values()),
+                    slot_stream + ns, static_cast<std::size_t>(row.nnz),
+                    out_vals);
+    } else {
+      probe_row<SR>(acc, a, b, i);
+      if (row.sorted) {
+        acc.extract_sorted(out_cols, out_vals);
+      } else {
+        acc.extract_unsorted(out_cols, out_vals);
+      }
+      acc.reset();
+    }
+  }
+
+  /// The fused epilogue over one computed row, timed into the thread's
+  /// epilogue state.  Returns the kept count.
+  static std::size_t epilogue_row(const EpilogueSpec& spec,
+                                  const EpilogueContext<IT, VT>& ectx,
+                                  EpilogueState& st, std::size_t i,
+                                  const IT* cols, const VT* vals,
+                                  std::size_t nnz, IT* cols_dst,
+                                  VT* vals_dst) {
+    const std::uint64_t t0 = monotonic_ns();
+    const std::size_t kept = apply_row_epilogue(spec, ectx, st, i, cols, vals,
+                                                nnz, cols_dst, vals_dst);
+    st.seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
+    return kept;
+  }
+
+  /// The staged-tile placement: copy every thread's staged tiles to their
+  /// final offsets under c.rpts, in parallel, so each output page is first
+  /// touched by the thread that owns its tile.  The plan skeleton moves
+  /// columns only (tiles/staged_cols); an output moves the kept columns and
+  /// values (kept_tiles/kept_cols/kept_vals).  c.rpts must be scanned.
+  void place(const PlanCore<IT, VT>& core, Matrix& c, bool skeleton) const {
+    const auto nnz = static_cast<std::size_t>(c.rpts.back());
+    // Default-init resize: no zeroing pass; the copies below are the first
+    // touch of every page.
+    c.cols.resize(nnz);
+    if (!skeleton) c.vals.resize(nnz);
+#pragma omp parallel num_threads(core.nthreads)
+    {
+      const int tid = omp_get_thread_num();
+      if (tid < core.part.threads()) {
+        const Thread& tp = threads[static_cast<std::size_t>(tid)];
+        for (const PlannedTile& tile : skeleton ? tp.tiles : tp.kept_tiles) {
+          const auto dst = static_cast<std::size_t>(c.rpts[tile.row_begin]);
+          const auto len =
+              static_cast<std::size_t>(c.rpts[tile.row_end]) - dst;
+          std::copy_n((skeleton ? tp.staged_cols : tp.kept_cols).data() +
+                          tile.stage_begin,
+                      len, c.cols.data() + dst);
+          if (!skeleton) {
+            std::copy_n(tp.kept_vals.data() + tile.stage_begin, len,
+                        c.vals.data() + dst);
+          }
+        }
+      }
+    }
+  }
+
+  /// Fold the per-thread epilogue partials into `result` (ascending thread
+  /// order) and report them in `s` and the process telemetry.
+  void fold_epilogue(const PlanCore<IT, VT>& core, EpilogueResult* result,
+                     SpGemmStats& s) const {
+    double epi_s = 0.0;
+    std::uint64_t epi_rows = 0;
+    fold_epilogue_partials(
+        core.opts.epilogue, core.nthreads,
+        static_cast<std::size_t>(core.ncols),
+        [&](int t) -> const EpilogueState& {
+          return threads[static_cast<std::size_t>(t)].epi;
+        },
+        result, epi_rows, epi_s);
+    s.epilogue_rows = epi_rows;
+    s.epilogue_ms = epi_s * 1e3;
+    if (telemetry::enabled()) {
+      EpilogueTelemetry::get().for_kind(core.opts.epilogue.kind).add(epi_rows);
+      telemetry::phase_observe("epilogue", epi_s);
+    }
+  }
+
+  /// Plan pass, symbolic only: capture slot streams, stage skeleton
+  /// columns, record per-row counts into core.rpts (then scanned).  Tiles
+  /// are handed out by the persisted ExecutionSchedule; the assignment this
+  /// pass settles on (including any steals) is frozen into the per-thread
+  /// tile lists, which every execute replays with perfect affinity.
+  void build(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b) {
+    const auto nrows = static_cast<std::size_t>(a.nrows);
+    ensure_threads(core.nthreads);
     core.rpts.resize(nrows + 1);
 
-    std::atomic<std::uint64_t> total_probes{0};
-    std::atomic<std::uint64_t> total_keys{0};
+    WorkTotal total;
     std::atomic<std::uint64_t> total_tiles{0};
     std::atomic<std::uint64_t> total_captured{0};
-    constexpr bool kPolicyBatches = BatchProbe<Acc, IT>;
-
     core.schedule.begin_pass();
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
       if (tid < core.part.threads()) {
-        const auto utid = static_cast<std::size_t>(tid);
-        ThreadPlan<IT, VT, Acc>& tp = threads[utid];
-        Acc& acc = tp.acc;
-        policy.prepare(acc, core.schedule.sizing_max_row_flop(tid), b.ncols);
-        const bool batch_probes =
-            kPolicyBatches && thread_batches(core.probe_batching, acc);
-
-        const auto capture_flop_bound =
-            static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
-        tp.capture_entries =
-            core.capture_enabled
-                ? std::min(core.budget_entries, 2 * capture_flop_bound + 16)
-                : 0;
-        IT* cap = core.capture_enabled ? tp.capture.ensure(tp.capture_entries)
-                                       : nullptr;
-
+        Thread& tp = threads[static_cast<std::size_t>(tid)];
+        SymbolicScratch s;
+        IT* cap = begin_symbolic(core, tp, tid, b.ncols, s);
         tp.tiles.clear();
         tp.rows.clear();
         tp.staged_cols.clear();
-        mem::ThreadScratch<IT> key_scratch;
-        mem::ThreadScratch<IT> count_slot_scratch;
-        std::vector<std::pair<IT, IT>> sort_buf;
         std::size_t cap_used = 0;
         std::size_t stage_off = 0;
-        std::uint64_t captured_count = 0;
-        std::uint64_t tiles_done = 0;
-        const std::uint64_t probes_before = acc.probes();
-        const std::uint64_t keys_before = keys_resolved_of(acc);
-
-        const auto process_tile = [&](std::size_t r0, std::size_t r1) {
-          tp.tiles.push_back({r0, r1, stage_off});
-          for (std::size_t i = r0; i < r1; ++i) {
-            const Offset row_flop =
-                core.part.flop_prefix[i + 1] - core.part.flop_prefix[i];
-            const bool force_sorted = policy.begin_row(acc, row_flop);
-            PlannedRow<IT> row;
-            row.sorted =
-                core.opts.sort_output == SortOutput::kYes || force_sorted;
-            row.cap_off = cap_used;
-            row.captured =
-                cap != nullptr &&
-                cap_used + 2 * static_cast<std::size_t>(row_flop) <=
-                    tp.capture_entries;
-            if (row.captured) {
-              std::size_t ns;
-              if constexpr (kPolicyBatches) {
-                ns = batch_probes
-                         ? capture_row_batch(acc, a, b, i, row_flop,
-                                             cap + cap_used, key_scratch)
-                         : capture_row(acc, a, b, i, cap + cap_used);
-              } else {
-                ns = capture_row(acc, a, b, i, cap + cap_used);
-              }
-              const std::size_t nnz = acc.count();
-              row.nnz = static_cast<IT>(nnz);
-              tp.staged_cols.resize(stage_off + nnz);
-              record_gather<IT, VT>(acc, nnz, row.sorted,
-                                    cap + cap_used + ns,
-                                    tp.staged_cols.data() + stage_off,
-                                    sort_buf);
-              cap_used += ns + nnz;
-              ++captured_count;
-            } else {
-              if constexpr (kPolicyBatches) {
-                if (batch_probes) {
-                  count_row_batch(acc, a, b, i, row_flop, key_scratch,
-                                  count_slot_scratch);
-                } else {
-                  count_row(acc, a, b, i);
-                }
-              } else {
-                count_row(acc, a, b, i);
-              }
-              const std::size_t nnz = acc.count();
-              row.nnz = static_cast<IT>(nnz);
-              tp.staged_cols.resize(stage_off + nnz);
-              IT* out_cols = tp.staged_cols.data() + stage_off;
-              acc.extract_keys(out_cols);
-              if (row.sorted) std::sort(out_cols, out_cols + nnz);
-            }
-            tp.rows.push_back(row);
-            core.rpts[i] = static_cast<Offset>(row.nnz);
-            stage_off += static_cast<std::size_t>(row.nnz);
-            acc.reset();
-          }
-          ++tiles_done;
-        };
+        std::uint64_t captured = 0;
+        Work mark = counters(tp.acc);
 
         core.schedule.for_each_tile(
             tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
                      bool /*stolen*/) {
-              process_tile(tile.row_begin, tile.row_end);
+              tp.tiles.push_back({tile.row_begin, tile.row_end, stage_off});
+              for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+                const PlannedRow<IT> row =
+                    symbolic_row(core, tp, s, a, b, i, cap, cap_used,
+                                 tp.staged_cols, stage_off, true);
+                tp.rows.push_back(row);
+                core.rpts[i] = static_cast<Offset>(row.nnz);
+                stage_off += static_cast<std::size_t>(row.nnz);
+                captured += row.captured ? 1 : 0;
+              }
             });
 
-        total_probes.fetch_add(acc.probes() - probes_before,
-                               std::memory_order_relaxed);
-        total_keys.fetch_add(keys_resolved_of(acc) - keys_before,
-                             std::memory_order_relaxed);
-        total_tiles.fetch_add(tiles_done, std::memory_order_relaxed);
-        total_captured.fetch_add(captured_count, std::memory_order_relaxed);
+        total.add(since(tp.acc, mark));
+        total_tiles.fetch_add(tp.tiles.size(), std::memory_order_relaxed);
+        total_captured.fetch_add(captured, std::memory_order_relaxed);
       }
       core.schedule.worker_done();
     }
 
     core.rpts[nrows] = 0;
     parallel::exclusive_scan_inplace(core.rpts.data(), nrows + 1);
-    core.symbolic_probes = total_probes.load(std::memory_order_relaxed);
-    core.symbolic_keys = total_keys.load(std::memory_order_relaxed);
+    const Work sym = total.load();
+    core.symbolic_probes = sym.probes;
+    core.symbolic_keys = sym.keys;
     core.tile_count = total_tiles.load(std::memory_order_relaxed);
     core.rows_captured = total_captured.load(std::memory_order_relaxed);
   }
 
-  /// Copy the staged skeleton columns to their final offsets in `c.cols`
-  /// (parallel, first touch by the owning thread).
-  void place_cols(const PlanCore<IT, VT>& core, CsrMatrix<IT, VT>& c) const {
-    c.cols.resize(static_cast<std::size_t>(core.rpts.back()));
-#pragma omp parallel num_threads(core.nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < core.part.threads()) {
-        const ThreadPlan<IT, VT, Acc>& tp =
-            threads[static_cast<std::size_t>(tid)];
-        for (const PlannedTile& tile : tp.tiles) {
-          const auto dst = static_cast<std::size_t>(core.rpts[tile.row_begin]);
-          const auto len =
-              static_cast<std::size_t>(core.rpts[tile.row_end]) - dst;
-          std::copy_n(tp.staged_cols.data() + tile.stage_begin, len,
-                      c.cols.data() + dst);
-        }
-      }
-    }
-  }
-
-  /// Probe-round and keys-resolved tallies of one numeric pass.
-  struct NumericWork {
-    std::uint64_t probes = 0;
-    std::uint64_t keys = 0;
-  };
-
-  /// Numeric-only pass: replay captured rows, re-probe fallback rows,
-  /// values written directly at their final offsets.
+  /// Execute pass, numeric only: replay captured rows, re-probe fallback
+  /// rows, values written directly at their final offsets.
   template <typename SR>
-  NumericWork numeric(const PlanCore<IT, VT>& core,
-                      const CsrMatrix<IT, VT>& a,
-                      const CsrMatrix<IT, VT>& b, CsrMatrix<IT, VT>& c) {
-    std::atomic<std::uint64_t> total_probes{0};
-    std::atomic<std::uint64_t> total_keys{0};
+  Work numeric(const PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
+               Matrix& c) {
+    WorkTotal total;
     core.schedule.reset_occupancy();
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
       if (tid < core.part.threads()) {
-        ThreadPlan<IT, VT, Acc>& tp = threads[static_cast<std::size_t>(tid)];
-        Acc& acc = tp.acc;
-        const IT* cap = tp.capture.data();
-        const std::uint64_t probes_before = acc.probes();
-        const std::uint64_t keys_before = keys_resolved_of(acc);
+        Thread& tp = threads[static_cast<std::size_t>(tid)];
+        Work mark = counters(tp.acc);
         std::size_t cursor = 0;
         for (const PlannedTile& tile : tp.tiles) {
           for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
-            const PlannedRow<IT>& row = tp.rows[cursor++];
-            const Offset row_flop =
-                core.part.flop_prefix[i + 1] - core.part.flop_prefix[i];
-            policy.begin_row(acc, row_flop);
             const auto off = static_cast<std::size_t>(core.rpts[i]);
-            VT* out_vals = c.vals.data() + off;
-            if (row.captured) {
-              const IT* slot_stream = cap + row.cap_off;
-              const std::size_t ns =
-                  replay_row<SR>(acc, a, b, i, slot_stream, core.replay_kind);
-              gather_values(static_cast<const VT*>(acc.slot_values()),
-                            slot_stream + ns,
-                            static_cast<std::size_t>(row.nnz), out_vals);
-            } else {
-              probe_row<SR>(acc, a, b, i);
-              IT* out_cols = c.cols.data() + off;
-              if (row.sorted) {
-                acc.extract_sorted(out_cols, out_vals);
-              } else {
-                acc.extract_unsorted(out_cols, out_vals);
-              }
-              acc.reset();
-            }
+            numeric_row<SR>(core, tp.acc, a, b, i, tp.rows[cursor++],
+                            tp.capture.data(), c.cols.data() + off,
+                            c.vals.data() + off);
           }
         }
-        total_probes.fetch_add(acc.probes() - probes_before,
-                               std::memory_order_relaxed);
-        total_keys.fetch_add(keys_resolved_of(acc) - keys_before,
-                             std::memory_order_relaxed);
+        total.add(since(tp.acc, mark));
       }
       core.schedule.worker_done();
     }
-    return {total_probes.load(std::memory_order_relaxed),
-            total_keys.load(std::memory_order_relaxed)};
+    return total.load();
   }
 
-  /// Fused-epilogue numeric pass: each row is computed into per-thread row
-  /// scratch (captured rows replay + gather, fallback rows re-probe), the
-  /// epilogue runs on it while cache-hot, and only the KEPT entries are
-  /// appended to the thread's kept buffers.  The plan's full-intermediate
-  /// skeleton (core.rpts / staged_cols) stays untouched plan state; the
-  /// output CSR is sized to the kept nnz only — the intermediate product is
-  /// never materialized.  `c.rpts` doubles as the kept-count scratch before
-  /// its exclusive scan.
+  /// Fused-epilogue execute pass: each row is computed into per-thread row
+  /// scratch, the epilogue runs on it while cache-hot, and only the KEPT
+  /// entries are staged.  The plan's full-intermediate skeleton (core.rpts
+  /// / staged_cols) stays untouched plan state; the output CSR is sized to
+  /// the kept nnz only — the intermediate product is never materialized.
+  /// `c.rpts` doubles as the kept-count scratch before its exclusive scan.
   template <typename SR>
-  NumericWork numeric_fused(const PlanCore<IT, VT>& core,
-                            const CsrMatrix<IT, VT>& a,
-                            const CsrMatrix<IT, VT>& b,
-                            const EpilogueContext<IT, VT>& ectx,
-                            CsrMatrix<IT, VT>& c) {
+  Work numeric_fused(const PlanCore<IT, VT>& core, const Matrix& a,
+                     const Matrix& b, const EpilogueContext<IT, VT>& ectx,
+                     Matrix& c) {
     const EpilogueSpec& spec = core.opts.epilogue;
     const auto nrows = static_cast<std::size_t>(core.nrows);
     c.rpts.resize(nrows + 1);
-    std::atomic<std::uint64_t> total_probes{0};
-    std::atomic<std::uint64_t> total_keys{0};
+    WorkTotal total;
     core.schedule.reset_occupancy();
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
       if (tid < core.part.threads()) {
-        ThreadPlan<IT, VT, Acc>& tp = threads[static_cast<std::size_t>(tid)];
-        Acc& acc = tp.acc;
-        const IT* cap = tp.capture.data();
-        const std::uint64_t probes_before = acc.probes();
-        const std::uint64_t keys_before = keys_resolved_of(acc);
+        Thread& tp = threads[static_cast<std::size_t>(tid)];
+        Work mark = counters(tp.acc);
         tp.epi.begin_pass(spec, static_cast<std::size_t>(b.ncols));
         tp.kept_tiles.clear();
         tp.kept_cols.clear();
@@ -520,81 +685,233 @@ struct KernelPlan {
           std::size_t stage_off = tile.stage_begin;
           for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
             const PlannedRow<IT>& row = tp.rows[cursor++];
-            const Offset row_flop =
-                core.part.flop_prefix[i + 1] - core.part.flop_prefix[i];
-            policy.begin_row(acc, row_flop);
             const auto nnz = static_cast<std::size_t>(row.nnz);
             if (tp.row_vals.size() < nnz) tp.row_vals.resize(nnz);
-            VT* vals = tp.row_vals.data();
-            const IT* cols;
-            if (row.captured) {
-              const IT* slot_stream = cap + row.cap_off;
-              const std::size_t ns =
-                  replay_row<SR>(acc, a, b, i, slot_stream, core.replay_kind);
-              gather_values(static_cast<const VT*>(acc.slot_values()),
-                            slot_stream + ns, nnz, vals);
-              cols = tp.staged_cols.data() + stage_off;
-            } else {
-              probe_row<SR>(acc, a, b, i);
-              if (tp.row_cols.size() < nnz) tp.row_cols.resize(nnz);
-              if (row.sorted) {
-                acc.extract_sorted(tp.row_cols.data(), vals);
-              } else {
-                acc.extract_unsorted(tp.row_cols.data(), vals);
-              }
-              acc.reset();
-              cols = tp.row_cols.data();
+            if (!row.captured && tp.row_cols.size() < nnz) {
+              tp.row_cols.resize(nnz);
             }
-            const std::uint64_t t0 = monotonic_ns();
+            numeric_row<SR>(core, tp.acc, a, b, i, row, tp.capture.data(),
+                            tp.row_cols.data(), tp.row_vals.data());
+            const IT* cols = row.captured ? tp.staged_cols.data() + stage_off
+                                          : tp.row_cols.data();
             tp.kept_cols.resize(kept_sz + nnz);
             tp.kept_vals.resize(kept_sz + nnz);
-            const std::size_t kept = apply_row_epilogue(
-                spec, ectx, tp.epi, i, cols, vals, nnz,
+            const std::size_t kept = epilogue_row(
+                spec, ectx, tp.epi, i, cols, tp.row_vals.data(), nnz,
                 tp.kept_cols.data() + kept_sz, tp.kept_vals.data() + kept_sz);
             tp.kept_cols.resize(kept_sz + kept);
             tp.kept_vals.resize(kept_sz + kept);
-            tp.epi.seconds +=
-                static_cast<double>(monotonic_ns() - t0) * 1e-9;
             c.rpts[i] = static_cast<Offset>(kept);
             kept_sz += kept;
             stage_off += nnz;
           }
         }
-        total_probes.fetch_add(acc.probes() - probes_before,
-                               std::memory_order_relaxed);
-        total_keys.fetch_add(keys_resolved_of(acc) - keys_before,
-                             std::memory_order_relaxed);
+        total.add(since(tp.acc, mark));
       }
       core.schedule.worker_done();
     }
 
-    // ---- Size the kept output and place every thread's kept tiles. -------
     c.rpts[nrows] = 0;
     parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
-    const auto kept_nnz = static_cast<std::size_t>(c.rpts[nrows]);
-    c.cols.resize(kept_nnz);
-    c.vals.resize(kept_nnz);
+    place(core, c, /*skeleton=*/false);
+    return total.load();
+  }
+
+  /// One-shot pass: each tile's numeric rows run right after its symbolic
+  /// rows, while the tile's A/B rows and accumulator state are still
+  /// cache-hot.  Global row offsets are unknown until every row is
+  /// counted, so values are staged next to the staged columns
+  /// (kept_cols/kept_vals); a fused epilogue compacts each finished row
+  /// forward, so only kept entries outlive their tile.  The capture buffer
+  /// is reused per tile and nothing is kept for a later execute.  c.rpts
+  /// (sized nrows + 1) receives the scanned row pointers; core gets the
+  /// symbolic tallies; the numeric tally is returned.
+  template <typename SR>
+  Work once(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
+            const EpilogueContext<IT, VT>* ectx, Matrix& c,
+            OnceTimes& times) {
+    const auto nrows = static_cast<std::size_t>(a.nrows);
+    const EpilogueSpec& spec = core.opts.epilogue;
+    const bool static_tiles =
+        core.opts.tile_schedule == parallel::TileSchedule::kStatic;
+    ensure_threads(core.nthreads);
+    std::vector<OnceTimes> thread_times(
+        static_cast<std::size_t>(core.nthreads));
+    WorkTotal sym_total;
+    WorkTotal num_total;
+    std::atomic<std::uint64_t> total_tiles{0};
+    std::atomic<std::uint64_t> total_captured{0};
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
       if (tid < core.part.threads()) {
-        const ThreadPlan<IT, VT, Acc>& tp =
-            threads[static_cast<std::size_t>(tid)];
-        for (const PlannedTile& tile : tp.kept_tiles) {
-          const auto dst = static_cast<std::size_t>(c.rpts[tile.row_begin]);
-          const auto len =
-              static_cast<std::size_t>(c.rpts[tile.row_end]) - dst;
-          std::copy_n(tp.kept_cols.data() + tile.stage_begin, len,
-                      c.cols.data() + dst);
-          std::copy_n(tp.kept_vals.data() + tile.stage_begin, len,
-                      c.vals.data() + dst);
+        const auto utid = static_cast<std::size_t>(tid);
+        Thread& tp = threads[utid];
+        Acc& acc = tp.acc;
+        SymbolicScratch s;
+        IT* cap = begin_symbolic(core, tp, tid, b.ncols, s);
+        if (ectx != nullptr) {
+          tp.epi.begin_pass(spec, static_cast<std::size_t>(b.ncols));
         }
+        if (static_tiles) {
+          // Reserve at an optimistic compression ratio to limit regrowth.
+          const auto thread_flop = static_cast<std::size_t>(
+              core.part.flop_prefix[core.part.offsets[utid + 1]] -
+              core.part.flop_prefix[core.part.offsets[utid]]);
+          tp.kept_cols.reserve(thread_flop / 4 + 64);
+          tp.kept_vals.reserve(thread_flop / 4 + 64);
+        }
+        Work sym;
+        Work num;
+        Work mark = counters(acc);
+        std::uint64_t captured = 0;
+        OnceTimes& tt = thread_times[utid];
+        Timer timer;
+
+        core.schedule.for_each_tile(
+            tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
+                     bool /*stolen*/) {
+              const std::size_t r0 = tile.row_begin;
+              const std::size_t r1 = tile.row_end;
+              const std::size_t stage_begin = tp.kept_cols.size();
+              tp.kept_tiles.push_back({r0, r1, stage_begin});
+              tp.rows.clear();
+
+              timer.reset();
+              std::size_t cap_used = 0;
+              std::size_t stage_off = stage_begin;
+              for (std::size_t i = r0; i < r1; ++i) {
+                const PlannedRow<IT> row =
+                    symbolic_row(core, tp, s, a, b, i, cap, cap_used,
+                                 tp.kept_cols, stage_off, false);
+                tp.rows.push_back(row);
+                c.rpts[i] = static_cast<Offset>(row.nnz);
+                stage_off += static_cast<std::size_t>(row.nnz);
+                captured += row.captured ? 1 : 0;
+              }
+              tt.symbolic_s += timer.seconds();
+              sym += since(acc, mark);
+
+              timer.reset();
+              tp.kept_vals.resize(tp.kept_cols.size());
+              std::size_t compact = stage_begin;
+              stage_off = stage_begin;
+              for (std::size_t i = r0; i < r1; ++i) {
+                const PlannedRow<IT>& row = tp.rows[i - r0];
+                const auto nnz = static_cast<std::size_t>(row.nnz);
+                IT* cols = tp.kept_cols.data() + stage_off;
+                VT* vals = tp.kept_vals.data() + stage_off;
+                numeric_row<SR>(core, acc, a, b, i, row, cap, cols, vals);
+                if (ectx != nullptr) {
+                  const std::size_t kept = epilogue_row(
+                      spec, *ectx, tp.epi, i, cols, vals, nnz,
+                      tp.kept_cols.data() + compact,
+                      tp.kept_vals.data() + compact);
+                  c.rpts[i] = static_cast<Offset>(kept);
+                  compact += kept;
+                }
+                stage_off += nnz;
+              }
+              if (ectx != nullptr) {
+                tp.kept_cols.resize(compact);
+                tp.kept_vals.resize(compact);
+              }
+              tt.numeric_s += timer.seconds();
+              num += since(acc, mark);
+            });
+
+        sym_total.add(sym);
+        num_total.add(num);
+        total_tiles.fetch_add(tp.kept_tiles.size(), std::memory_order_relaxed);
+        total_captured.fetch_add(captured, std::memory_order_relaxed);
       }
     }
-    return {total_probes.load(std::memory_order_relaxed),
-            total_keys.load(std::memory_order_relaxed)};
+
+    Timer place_timer;
+    c.rpts[nrows] = 0;
+    parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
+    if (core.nthreads == 1) {
+      // One thread ran every tile in row order, so its staging buffers ARE
+      // the final cols/vals: adopt them and skip the placement copy.
+      c.cols = std::move(threads[0].kept_cols);
+      c.vals = std::move(threads[0].kept_vals);
+    } else {
+      place(core, c, /*skeleton=*/false);
+    }
+    times.place_s = place_timer.seconds();
+    for (const OnceTimes& tt : thread_times) {
+      times.symbolic_s = std::max(times.symbolic_s, tt.symbolic_s);
+      times.numeric_s = std::max(times.numeric_s, tt.numeric_s);
+    }
+    const Work sym = sym_total.load();
+    core.symbolic_probes = sym.probes;
+    core.symbolic_keys = sym.keys;
+    core.tile_count = total_tiles.load(std::memory_order_relaxed);
+    core.rows_captured = total_captured.load(std::memory_order_relaxed);
+    return num_total.load();
   }
 };
+
+/// One-shot product through the tile loop: resolve a PlanCore at the
+/// one-shot capture budget (model::kDefaultReuseBudgetBytes unless
+/// opts.reuse_budget_bytes says otherwise) and run KernelPlan::once().
+/// Policy: any accumulator policy (core/spgemm_policies.hpp shape: make /
+/// prepare / begin_row).  SR: the semiring; the symbolic phase is
+/// algebra-independent.  `epi` carries the mask/result of a fused
+/// opts.epilogue.  No pair fingerprint is taken and no plan fault point
+/// fires, because nothing is retained; plan_ms/execute_ms stay 0.
+template <IndexType IT, ValueType VT, typename Policy,
+          typename SR = PlusTimes>
+  requires SemiringFor<SR, VT>
+CsrMatrix<IT, VT> run_once(const CsrMatrix<IT, VT>& a,
+                           const CsrMatrix<IT, VT>& b,
+                           const SpGemmOptions& opts, Policy policy,
+                           SpGemmStats* stats, SR /*semiring*/ = {},
+                           const EpilogueContext<IT, VT>* epi = nullptr) {
+  TELEM_SPAN("oneshot.multiply");
+  parallel::ScopedNumThreads scoped(opts.threads);
+  Timer timer;
+  PlanCore<IT, VT> core;
+  init_plan_core(core, a, b, opts, model::kDefaultReuseBudgetBytes);
+  const bool fused = epilogue_fuses_rows(opts.epilogue);
+  const EpilogueContext<IT, VT> no_epi{};
+  const EpilogueContext<IT, VT>& ectx = epi != nullptr ? *epi : no_epi;
+  if (fused) validate_epilogue(opts.epilogue, ectx, a, b);
+  const double setup_s = timer.seconds();
+
+  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
+  KernelPlan<IT, VT, Policy> kernel(std::move(policy));
+  typename KernelPlan<IT, VT, Policy>::OnceTimes times;
+  const Work num = kernel.template once<SR>(core, a, b,
+                                            fused ? &ectx : nullptr, c, times);
+  c.sortedness = opts.sort_output == SortOutput::kYes ? Sortedness::kSorted
+                                                      : Sortedness::kUnsorted;
+
+  SpGemmStats local;
+  SpGemmStats& s = stats != nullptr ? *stats : local;
+  s.epilogue_rows = 0;
+  s.epilogue_ms = 0.0;
+  if (fused) kernel.fold_epilogue(core, ectx.result, s);
+  if (telemetry::enabled()) {
+    // The phases interleave per tile, so they were timed per thread inside
+    // the pass; capture shows up as the reuse_rows counters.
+    telemetry::phase_observe("oneshot.setup", setup_s);
+    telemetry::phase_observe("oneshot.symbolic", times.symbolic_s);
+    telemetry::phase_observe("oneshot.numeric", times.numeric_s);
+    telemetry::phase_observe("oneshot.placement", times.place_s);
+  }
+  if (stats == nullptr) return c;
+  fill_symbolic_stats(core, c.rpts.back(), s);
+  s.setup_ms = setup_s * 1e3;
+  // Slowest thread's share of each interleaved phase; the scan and the
+  // placement copy count as numeric.
+  s.symbolic_ms = times.symbolic_s * 1e3;
+  s.numeric_ms = (times.numeric_s + times.place_s) * 1e3;
+  s.numeric_probes = num.probes;
+  s.numeric_keys = num.keys;
+  s.probes = s.symbolic_probes + num.probes;
+  return c;
+}
 
 }  // namespace detail
 
@@ -640,32 +957,19 @@ class SpGemmHandle {
     // once, which is what makes the engine's ladder tests deterministic.
     SPGEMM_FAULT_ALLOC("handle.plan.alloc");
 
-    if (opts.algorithm == Algorithm::kAuto) {
-      opts.algorithm = recipe::select_for(
-          a, b, recipe::Operation::kSquare, opts.sort_output,
-          recipe::DataOrigin::kReal);
-      if (!is_two_phase(opts.algorithm)) opts.algorithm = Algorithm::kHash;
-    }
+    opts.algorithm = detail::resolve_algorithm(a, b, opts, is_two_phase);
     if (!is_two_phase(opts.algorithm)) {
       throw SpGemmError(ErrorCode::kBadInput,
                         "SpGemmHandle::plan: kernel has no symbolic phase to "
                         "plan (two-phase kernels only)");
     }
 
-    core_.opts = opts;
-    core_.nrows = a.nrows;
-    core_.ncols = b.ncols;
-    core_.nthreads = parallel::resolve_threads(opts.threads);
     parallel::ScopedNumThreads scoped(opts.threads);
-
     Timer timer;
-    const auto nrows = static_cast<std::size_t>(a.nrows);
-    core_.part =
-        parallel::is_balanced(opts.schedule)
-            ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
-                                        b.rpts.data(), core_.nthreads)
-            : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
-                                   b.rpts.data(), core_.nthreads);
+    // A persistent plan trades memory for repeated numeric time, so its
+    // default capture budget is the large plan budget; an explicit
+    // reuse_budget_bytes overrides it.
+    detail::init_plan_core(core_, a, b, opts, model::kDefaultPlanBudgetBytes);
     // Debug builds recompute and validate a caller-supplied fingerprint: a
     // wrong hash in a release build silently executes a stale plan (the
     // ensure_planned_hashed contract), so the one build mode that can
@@ -678,20 +982,6 @@ class SpGemmHandle {
     core_.id_a = detail::StructureId<IT, VT>::of(a);
     core_.id_b = detail::StructureId<IT, VT>::of(b);
     stats_.setup_ms = timer.millis();
-
-    // A persistent plan trades memory for repeated numeric time, so its
-    // default capture budget is the large plan budget; an explicit
-    // reuse_budget_bytes (or the one-shot wrapper) overrides it.  The
-    // resolution — and the ExecutionSchedule it cuts — is shared with the
-    // fused one-shot driver.
-    const detail::TileConfig cfg = detail::resolve_tile_config(
-        core_.part, opts, nrows, model::kDefaultPlanBudgetBytes, sizeof(IT));
-    core_.budget_entries = cfg.budget_entries;
-    core_.capture_enabled = cfg.capture_enabled;
-    core_.probe_batching = cfg.probe_batching;
-    core_.replay_kind = resolve_probe_kind(opts.probe);
-    core_.tile_rows = cfg.tile_rows;
-    detail::build_schedule(core_.schedule, core_.part, opts, cfg);
 
     timer.reset();
     {
@@ -710,15 +1000,7 @@ class SpGemmHandle {
     stats_.symbolic_ms = timer.millis();
 
     planned_ = true;
-    stats_.flop = core_.part.total_flop();
-    stats_.nnz_out = core_.rpts.back();
-    stats_.symbolic_probes = core_.symbolic_probes;
-    stats_.symbolic_keys = core_.symbolic_keys;
-    stats_.probes = core_.symbolic_probes;
-    stats_.tile_count = core_.tile_count;
-    stats_.tile_steals = core_.schedule.steals();
-    stats_.reuse_rows_captured = core_.rows_captured;
-    stats_.reuse_rows_total = nrows;
+    detail::fill_symbolic_stats(core_, core_.rpts.back(), stats_);
     stats_.plan_ms = plan_timer.millis();
     if (telemetry::enabled()) {
       auto& t = detail::HandleTelemetry::get();
@@ -784,8 +1066,7 @@ class SpGemmHandle {
   const CsrMatrix<IT, VT>& execute(const CsrMatrix<IT, VT>& a,
                                    const CsrMatrix<IT, VT>& b, SR sr = {},
                                    SpGemmStats* stats = nullptr) {
-    execute_impl(a, b, pooled_, !pooled_cols_ready_, /*into_pooled=*/true,
-                 sr, stats);
+    execute_impl(a, b, pooled_, !pooled_cols_ready_, sr, stats);
     pooled_cols_ready_ = true;
     return pooled_;
   }
@@ -797,8 +1078,7 @@ class SpGemmHandle {
   void execute_into(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                     CsrMatrix<IT, VT>& c, SR sr = {},
                     SpGemmStats* stats = nullptr) {
-    execute_impl(a, b, c, /*fill_skeleton=*/true, /*into_pooled=*/false, sr,
-                 stats);
+    execute_impl(a, b, c, /*fill_skeleton=*/true, sr, stats);
   }
 
   // ---- Plan introspection -------------------------------------------------
@@ -978,47 +1258,10 @@ class SpGemmHandle {
     core_.id_b = id_b;
   }
 
-  /// Rewrite every page of the pooled output's body arrays from its OWNING
-  /// thread (the static tile assignment, not the frozen claim state that
-  /// includes steals).  First-touch repair for pages a thief populated
-  /// during the build pass; see SpGemmOptions::retouch_output_pages.
-  std::uint64_t retouch_pooled_pages() {
-    constexpr std::size_t kPageBytes = 4096;
-    const auto touch = [](void* ptr, std::size_t bytes) -> std::uint64_t {
-      auto* p = static_cast<volatile unsigned char*>(ptr);
-      std::uint64_t pages = 0;
-      for (std::size_t off = 0; off < bytes; off += kPageBytes) {
-        p[off] = p[off];
-        ++pages;
-      }
-      return pages;
-    };
-    std::atomic<std::uint64_t> total{0};
-#pragma omp parallel num_threads(core_.nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < core_.part.threads()) {
-        std::uint64_t local = 0;
-        core_.schedule.for_each_owned_tile(
-            tid, [&](const parallel::TileRange& tile) {
-              const auto begin =
-                  static_cast<std::size_t>(core_.rpts[tile.row_begin]);
-              const auto len =
-                  static_cast<std::size_t>(core_.rpts[tile.row_end]) - begin;
-              if (len == 0) return;
-              local += touch(pooled_.cols.data() + begin, len * sizeof(IT));
-              local += touch(pooled_.vals.data() + begin, len * sizeof(VT));
-            });
-        total.fetch_add(local, std::memory_order_relaxed);
-      }
-    }
-    return total.load(std::memory_order_relaxed);
-  }
-
   template <typename SR>
   void execute_impl(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-                    CsrMatrix<IT, VT>& c, bool fill_skeleton,
-                    bool into_pooled, SR /*sr*/, SpGemmStats* stats) {
+                    CsrMatrix<IT, VT>& c, bool fill_skeleton, SR /*sr*/,
+                    SpGemmStats* stats) {
     if (!planned_) {
       throw SpGemmError(ErrorCode::kBadInput,
                         "SpGemmHandle::execute: no plan — call plan()");
@@ -1047,7 +1290,7 @@ class SpGemmHandle {
           [&](auto& kernel) {
             if constexpr (!std::is_same_v<std::decay_t<decltype(kernel)>,
                                           std::monostate>) {
-              kernel.place_cols(core_, c);
+              kernel.place(core_, c, /*skeleton=*/true);
             }
           },
           kernel_);
@@ -1056,10 +1299,7 @@ class SpGemmHandle {
       c.vals.resize(static_cast<std::size_t>(core_.rpts.back()));
     }
 
-    std::uint64_t num_probes = 0;
-    std::uint64_t num_keys = 0;
-    std::uint64_t epi_rows = 0;
-    double epi_s = 0.0;
+    detail::Work work;
     {
       TELEM_SPAN("handle.numeric");
       std::visit(
@@ -1067,22 +1307,10 @@ class SpGemmHandle {
             if constexpr (!std::is_same_v<std::decay_t<decltype(kernel)>,
                                           std::monostate>) {
               if (fused) {
-                const auto work = kernel.template numeric_fused<SR>(
-                    core_, a, b, ectx, c);
-                num_probes = work.probes;
-                num_keys = work.keys;
-                detail::fold_epilogue_partials(
-                    core_.opts.epilogue, core_.nthreads,
-                    static_cast<std::size_t>(core_.ncols),
-                    [&](int t) -> const detail::EpilogueState& {
-                      return kernel.threads[static_cast<std::size_t>(t)].epi;
-                    },
-                    &epilogue_result_, epi_rows, epi_s);
+                work = kernel.template numeric_fused<SR>(core_, a, b, ectx, c);
+                kernel.fold_epilogue(core_, &epilogue_result_, stats_);
               } else {
-                const auto work =
-                    kernel.template numeric<SR>(core_, a, b, c);
-                num_probes = work.probes;
-                num_keys = work.keys;
+                work = kernel.template numeric<SR>(core_, a, b, c);
               }
             }
           },
@@ -1094,39 +1322,18 @@ class SpGemmHandle {
                        : Sortedness::kUnsorted;
 
     ++executions_;
-    // NUMA repair once per plan, right after the pooled pages have all been
-    // populated — fill_skeleton on the pooled path means THIS was the first
-    // pooled execute, regardless of any execute_into() calls before it —
-    // and only when the build pass actually migrated work off its owners.
-    std::uint64_t retouched_now = 0;
-    if (into_pooled && fill_skeleton && !fused &&
-        core_.opts.retouch_output_pages && stats_.tile_steals > 0) {
-      retouched_now = retouch_pooled_pages();
-      stats_.pages_retouched += retouched_now;
-    }
     stats_.execute_ms = exec_timer.millis();
     stats_.numeric_ms = stats_.execute_ms;
-    stats_.numeric_probes = num_probes;
-    stats_.numeric_keys = num_keys;
-    stats_.probes = stats_.symbolic_probes + num_probes;
+    stats_.numeric_probes = work.probes;
+    stats_.numeric_keys = work.keys;
+    stats_.probes = stats_.symbolic_probes + work.probes;
     stats_.executions = executions_;
-    if (fused) {
-      stats_.nnz_out = c.rpts.empty() ? 0 : c.rpts.back();
-      stats_.epilogue_rows = epi_rows;
-      stats_.epilogue_ms = epi_s * 1e3;
-    }
+    if (fused) stats_.nnz_out = c.rpts.empty() ? 0 : c.rpts.back();
     if (telemetry::enabled()) {
       auto& t = detail::HandleTelemetry::get();
       t.executes.add(1);
-      t.numeric_probes.add(num_probes);
-      t.numeric_keys.add(num_keys);
-      t.pages_retouched.add(retouched_now);
-      if (fused) {
-        detail::EpilogueTelemetry::get()
-            .for_kind(core_.opts.epilogue.kind)
-            .add(epi_rows);
-        telemetry::phase_observe("epilogue", epi_s);
-      }
+      t.numeric_probes.add(work.probes);
+      t.numeric_keys.add(work.keys);
     }
     if (stats != nullptr) *stats = stats_;
   }

@@ -1,10 +1,10 @@
-// Hash SpGEMM (paper §4.2.1): the two-phase driver with the linear-probing
+// Hash SpGEMM (paper §4.2.1): the two-phase tile loop with the linear-probing
 // hash accumulator, sized per thread to the maximum per-row flop of its row
 // block (paper Fig. 7).
 #pragma once
 
+#include "core/spgemm_handle.hpp"
 #include "core/spgemm_policies.hpp"
-#include "core/spgemm_twophase.hpp"
 
 namespace spgemm {
 
@@ -14,7 +14,7 @@ CsrMatrix<IT, VT> spgemm_hash(const CsrMatrix<IT, VT>& a,
                               const SpGemmOptions& opts = {},
                               SpGemmStats* stats = nullptr,
                               SR semiring = {}) {
-  return detail::spgemm_two_phase<IT, VT>(
+  return detail::run_once<IT, VT>(
       a, b, opts, detail::HashPlanPolicy<IT, VT>{}, stats, semiring);
 }
 

@@ -1,10 +1,10 @@
-// HashVector SpGEMM (paper §4.2.2): the two-phase driver with the chunked
+// HashVector SpGEMM (paper §4.2.2): the two-phase tile loop with the chunked
 // SIMD-probed hash accumulator.  Identical structure to Hash SpGEMM; only
 // the probing data structure differs (paper Fig. 8).
 #pragma once
 
+#include "core/spgemm_handle.hpp"
 #include "core/spgemm_policies.hpp"
-#include "core/spgemm_twophase.hpp"
 
 namespace spgemm {
 
@@ -14,7 +14,7 @@ CsrMatrix<IT, VT> spgemm_hashvector(const CsrMatrix<IT, VT>& a,
                                     const SpGemmOptions& opts = {},
                                     SpGemmStats* stats = nullptr,
                                     SR semiring = {}) {
-  return detail::spgemm_two_phase<IT, VT>(
+  return detail::run_once<IT, VT>(
       a, b, opts, detail::HashVecPlanPolicy<IT, VT>{opts.probe}, stats,
       semiring);
 }

@@ -1,10 +1,10 @@
-// Two-level hash map SpGEMM: the KokkosKernels 'kkmem' stand-in
-// (see DESIGN.md).  Two-phase, chained hash accumulator, natively unsorted
-// output (paper Table 1 lists KokkosKernels as Any/Unsorted).
+// Two-level hash map SpGEMM: the KokkosKernels 'kkmem' stand-in (see README
+// "Stand-in kernels").  Two-phase, chained hash accumulator, natively
+// unsorted output (paper Table 1 lists KokkosKernels as Any/Unsorted).
 #pragma once
 
+#include "core/spgemm_handle.hpp"
 #include "core/spgemm_policies.hpp"
-#include "core/spgemm_twophase.hpp"
 
 namespace spgemm {
 
@@ -14,7 +14,7 @@ CsrMatrix<IT, VT> spgemm_kkhash(const CsrMatrix<IT, VT>& a,
                                 const SpGemmOptions& opts = {},
                                 SpGemmStats* stats = nullptr,
                                 SR semiring = {}) {
-  return detail::spgemm_two_phase<IT, VT>(
+  return detail::run_once<IT, VT>(
       a, b, opts, detail::KkHashPlanPolicy<IT, VT>{}, stats, semiring);
 }
 

@@ -3,11 +3,18 @@
 // A policy supplies the accumulator type, its construction/sizing, and the
 // per-row hook begin_row() which may switch regimes and force sorted
 // emission (Adaptive's tiny rows).  All other kernels compile the hook
-// away.  The SAME policy instances drive both the fused one-shot driver
-// (core/spgemm_twophase.hpp) and the persistent inspector-executor handle
-// (core/spgemm_handle.hpp), so the two paths size and probe their
-// accumulators identically — a prerequisite for their bit-identical
-// outputs.
+// away.  The one tile loop (detail::KernelPlan, core/spgemm_handle.hpp)
+// takes any policy object, for one-shot and plan/execute products alike.
+//
+// Adaptive is the row-adaptive poly-algorithm of the GPU codes the paper
+// surveys (§2: Liu & Vinter, Nagasaka et al. [25]), which bin output rows
+// by flop and specialize per bin.  This CPU adaptation picks the regime PER
+// ROW inside one pass:
+//   * tiny rows   (flop <= 16)      — the hash regime, always emitted
+//                                     sorted,
+//   * normal rows                   — the linear-probing hash table,
+//   * dense rows  (flop >= ncols/2) — the dense SPA (the row will touch a
+//                                     large fraction of the columns anyway).
 #pragma once
 
 #include <algorithm>
@@ -21,14 +28,24 @@
 #include "accumulator/spa.hpp"
 #include "accumulator/two_level_hash.hpp"
 #include "common/types.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_options.hpp"
+
+namespace spgemm {
+
+/// Per-row flop thresholds separating the Adaptive kernel's regimes.
+struct AdaptiveThresholds {
+  Offset tiny_flop = 16;
+  /// Dense regime when flop(row) >= ncols / dense_divisor.
+  Offset dense_divisor = 2;
+};
+
+}  // namespace spgemm
 
 namespace spgemm::detail {
 
 /// Pairs the Hash and SPA accumulators behind one accumulator interface so
-/// the Adaptive kernel's per-row regimes (tiny/hash/dense, see
-/// core/spgemm_adaptive.hpp) flow through the generic plan/execute loops.
+/// the Adaptive kernel's per-row regimes (tiny/hash/dense, see above) flow
+/// through the generic tile loop.
 /// The active sub-accumulator is chosen per row via set_dense(); slot
 /// streams recorded against one regime replay against the same regime
 /// because the regime is a pure function of the row's flop.
@@ -163,21 +180,21 @@ struct KkHashPlanPolicy {
 template <IndexType IT, ValueType VT>
 struct AdaptivePlanPolicy {
   using Acc = AdaptiveDualAccumulator<IT, VT>;
+  /// Largest flop a row may have and still count as tiny.
+  static constexpr std::size_t kCapacity = 16;
   Offset tiny_cut = 0;
   Offset dense_cut = 0;
   IT ncols = 0;
 
-  /// Regime cuts for a product into `ncols_b` columns, matching the direct
-  /// spgemm_adaptive kernel's thresholds.
+  /// Regime cuts for a product into `ncols_b` columns; the tiny threshold
+  /// is clamped to kCapacity whatever the caller asks for.
   static AdaptivePlanPolicy for_product(IT ncols_b,
                                         AdaptiveThresholds thresholds = {}) {
     AdaptivePlanPolicy policy;
     policy.dense_cut =
         static_cast<Offset>(ncols_b) / thresholds.dense_divisor;
-    policy.tiny_cut = std::min<Offset>(
-        thresholds.tiny_flop,
-        static_cast<Offset>(
-            TinyRowAccumulator<IT, VT, PlusTimes>::kCapacity));
+    policy.tiny_cut = std::min<Offset>(thresholds.tiny_flop,
+                                       static_cast<Offset>(kCapacity));
     policy.ncols = ncols_b;
     return policy;
   }
@@ -189,8 +206,7 @@ struct AdaptivePlanPolicy {
         static_cast<std::size_t>(nc)));
   }
   /// Dense rows switch the accumulator to the SPA regime; tiny rows stay on
-  /// the hash regime but force sorted emission (the tiny-row buffer of the
-  /// one-shot Adaptive kernel always emits sorted).
+  /// the hash regime but force sorted emission.
   bool begin_row(Acc& acc, Offset row_flop) const {
     const bool dense = row_flop >= dense_cut;
     if (dense) acc.ensure_spa(static_cast<std::size_t>(ncols));
@@ -200,7 +216,7 @@ struct AdaptivePlanPolicy {
 };
 
 /// The ONE algorithm-to-policy mapping: invoke `fn` with the policy object
-/// for `algo`.  Both the fused one-shot dispatch (core/multiply.hpp) and
+/// for `algo`.  Both the one-shot dispatch (core/multiply.hpp) and
 /// SpGemmHandle's kernel emplacement go through here, so the two paths
 /// cannot drift apart in how they configure a kernel — a prerequisite for
 /// their bit-identical outputs.

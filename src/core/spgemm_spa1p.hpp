@@ -1,4 +1,5 @@
-// One-phase SPA SpGEMM — the MKL-inspector stand-in (see DESIGN.md).
+// One-phase SPA SpGEMM — the MKL-inspector stand-in (see README
+// "Stand-in kernels").
 //
 // No symbolic phase: rows are accumulated with the dense SPA and staged
 // into a flop-upper-bound buffer (per-thread, pool-backed), then compacted.

@@ -1,28 +1,16 @@
-// Tiled, structure-reusing two-phase (symbolic + numeric) SpGEMM machinery.
+// Row-level building blocks of the two-phase (symbolic + numeric) SpGEMM.
 //
-// This header holds two things:
+// The paper's Hash/HashVector SpGEMM (§2, §4.2) is Gustavson's algorithm in
+// two phases: a symbolic pass counts each output row, a scan sizes C, and a
+// numeric pass fills it.  The one tile loop that runs both phases lives in
+// detail::KernelPlan (core/spgemm_handle.hpp) and serves one-shot
+// multiplies and plan/execute handles alike.  This header holds what that
+// loop is made of:
 //
-//   1. The ROW-LEVEL capture/replay primitives (capture_row, count_row,
-//      record_gather, replay_row, gather_values, probe_row).  They are the
-//      single implementation of the slot-stream protocol shared by the fused
-//      one-shot driver below AND by the persistent inspector-executor handle
-//      (core/spgemm_handle.hpp) — plan/execute and one-shot multiplies run
-//      the exact same per-row code, so their outputs are bit-identical.
-//
-//   2. The fused one-shot driver spgemm_two_phase(): Gustavson's algorithm
-//      (paper Fig. 1) parallelized over rows with the paper's
-//      architecture-specific structure:
-//        * flop-balanced static row partition (Fig. 6) by default, or a
-//          flop-balanced dynamic tile pool for skewed matrices,
-//        * one accumulator per thread, allocated inside the owning thread
-//          ("parallel" memory scheme, §3.2) and reinitialized per row,
-//        * symbolic phase counts nnz per output row, a parallel exclusive
-//          scan sizes the output exactly, the numeric phase fills it in
-//          place (§2, two-phase strategy).
-//      The accumulator type is a template parameter: Hash, HashVector, SPA
-//      and the two-level hash map all flow through this one driver, so the
-//      kernels differ only in their accumulation data structure — exactly
-//      the framing of the paper.
+//   * the ROW-LEVEL capture/replay primitives (capture_row, count_row,
+//     record_gather, replay_row, gather_values, probe_row);
+//   * the fused per-row epilogues (prune/scale, mask-reduce);
+//   * the tiling/capture-budget resolution that cuts the ExecutionSchedule.
 //
 // ---- Slot-stream capture protocol -----------------------------------------
 //
@@ -40,32 +28,9 @@
 // The replayed value stream folds contributions in exactly the traversal
 // order of the classic numeric pass, so captured and re-probed products are
 // bit-identical, sorted or unsorted.
-//
-// ---- Fused tile loop of the one-shot driver -------------------------------
-//
-// Rows are processed in contiguous row *tiles* under a parallel::
-// ExecutionSchedule (tile cuts from SpGemmOptions::tile_rows or the budget
-// source; assignment static, dynamic or work-stealing).  For each tile the
-// running thread executes the symbolic and numeric passes back to back,
-// while the A rows, B rows and the accumulator state for those rows are
-// still cache-hot.  Because global row offsets are unknown until every row
-// is counted, the numeric pass writes into per-thread staging buffers;
-// after a parallel exclusive scan over the per-row counts, a bulk copy
-// places each tile's rows at their final offsets.  The staging and final
-// arrays are mem::Buffer (default-init), so sizing C costs no zeroing pass
-// and each thread's placement copy is the first touch of its pages — the
-// multi-thread placement writes nnz(C) once instead of zero-fill + copy.
-//
-// The driver is a thin client of the schedule: it no longer owns tile cuts
-// or claim logic, and it takes the same per-kernel policy objects
-// (core/spgemm_policies.hpp) the persistent handle plans with, so one-shot
-// and plan/execute products are bit-identical by construction.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -78,7 +43,6 @@
 #endif
 
 #include "common/cpu_features.hpp"
-#include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/semiring.hpp"
 #include "core/spgemm_options.hpp"
@@ -86,11 +50,8 @@
 #include "mem/workspace.hpp"
 #include "model/cost_model.hpp"
 #include "parallel/execution_schedule.hpp"
-#include "parallel/omp_utils.hpp"
-#include "parallel/prefix_sum.hpp"
 #include "parallel/rows_to_threads.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span.hpp"
 
 namespace spgemm::detail {
 
@@ -574,8 +535,8 @@ inline void validate_epilogue(const EpilogueSpec& spec,
 // ---- Shared tiling/capture configuration ----------------------------------
 
 /// Resolved tiling and capture-budget configuration.  One resolution serves
-/// both the fused one-shot driver below and SpGemmHandle::plan(), so the
-/// two paths can never disagree on tile cuts or capture gating.
+/// one-shot multiplies and SpGemmHandle::plan() alike, so the two paths can
+/// never disagree on tile cuts or capture gating.
 struct TileConfig {
   std::size_t budget_entries = 0;  ///< capture slots per thread
   bool capture_enabled = false;
@@ -642,402 +603,6 @@ inline void build_schedule(parallel::ExecutionSchedule& schedule,
                            const SpGemmOptions& opts, const TileConfig& cfg) {
   schedule.build(part, opts.tile_schedule, cfg.tile_rows,
                  cfg.tile_flop_target);
-}
-
-// ---- Fused one-shot driver ------------------------------------------------
-
-/// Per-row capture record within the current tile.
-template <IndexType IT>
-struct RowCapture {
-  std::size_t stage_off = 0;  ///< row start in the thread staging buffers
-  std::size_t cap_off = 0;    ///< slot-stream start in the capture buffer
-  IT nnz = 0;
-  bool captured = false;
-  bool sorted = false;  ///< columns emitted in ascending order
-};
-
-/// One processed tile, remembered for the final placement copy.
-struct TileRecord {
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
-  std::size_t stage_begin = 0;
-};
-
-/// Policy: one of the per-kernel accumulator policies of
-/// core/spgemm_policies.hpp (make / prepare / begin_row).
-/// SR: the semiring policy (core/semiring.hpp); PlusTimes is ordinary
-/// SpGEMM.  The symbolic phase is algebra-independent.
-template <IndexType IT, ValueType VT, typename Policy,
-          typename SR = PlusTimes>
-  requires SemiringFor<SR, VT>
-CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
-                                   const CsrMatrix<IT, VT>& b,
-                                   const SpGemmOptions& opts, Policy policy,
-                                   SpGemmStats* stats, SR /*semiring*/ = {},
-                                   const EpilogueContext<IT, VT>* epi =
-                                       nullptr) {
-  TELEM_SPAN("oneshot.multiply");
-  const int nthreads = parallel::resolve_threads(opts.threads);
-  parallel::ScopedNumThreads scoped(opts.threads);
-
-  Timer timer;
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  parallel::RowPartition part =
-      parallel::is_balanced(opts.schedule)
-          ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
-                                      b.rpts.data(), nthreads)
-          : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
-                                 b.rpts.data(), nthreads);
-
-  // ---- Resolve the tiling/reuse configuration and cut the schedule. ------
-  const TileConfig cfg = resolve_tile_config(
-      part, opts, nrows, model::kDefaultReuseBudgetBytes, sizeof(IT));
-  const bool reuse_enabled = cfg.capture_enabled;
-  const std::size_t budget_entries = cfg.budget_entries;
-  // Resolve the replay execution tier ONCE (env + ISA clamping); the
-  // parallel loops below dispatch on plain values.  The batching decision
-  // is per thread (its accumulator's table size is not known until
-  // prepare()).
-  constexpr bool kPolicyBatches = BatchProbe<typename Policy::Acc, IT>;
-  const ProbeKind replay_kind = resolve_probe_kind(opts.probe);
-  parallel::ExecutionSchedule schedule;
-  build_schedule(schedule, part, opts, cfg);
-  const bool static_tiles =
-      opts.tile_schedule == parallel::TileSchedule::kStatic;
-
-  // ---- Fused epilogue wiring (see "Fused row epilogues" above). ----------
-  const EpilogueSpec& espec = opts.epilogue;
-  const bool fused = epilogue_fuses_rows(espec);
-  const EpilogueContext<IT, VT> no_epi_ctx{};
-  const EpilogueContext<IT, VT>& ectx = epi != nullptr ? *epi : no_epi_ctx;
-  if (fused) validate_epilogue(espec, ectx, a, b);
-  std::vector<EpilogueState> epi_states(
-      fused ? static_cast<std::size_t>(nthreads) : 0);
-
-  const double setup_s = timer.seconds();
-  if (stats != nullptr) {
-    stats->setup_ms = setup_s * 1e3;
-    stats->flop = part.total_flop();
-  }
-
-  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-
-  // Per-thread staging (cols/vals in processing order) and tile records for
-  // the placement copy; inner buffers grow inside the owning thread.
-  std::vector<mem::Buffer<IT>> staged_cols(
-      static_cast<std::size_t>(nthreads));
-  std::vector<mem::Buffer<VT>> staged_vals(
-      static_cast<std::size_t>(nthreads));
-  std::vector<std::vector<TileRecord>> records(
-      static_cast<std::size_t>(nthreads));
-  std::vector<double> sym_seconds(static_cast<std::size_t>(nthreads), 0.0);
-  std::vector<double> num_seconds(static_cast<std::size_t>(nthreads), 0.0);
-
-  std::atomic<std::uint64_t> total_sym_probes{0};
-  std::atomic<std::uint64_t> total_num_probes{0};
-  std::atomic<std::uint64_t> total_sym_keys{0};
-  std::atomic<std::uint64_t> total_num_keys{0};
-  std::atomic<std::uint64_t> total_tiles{0};
-  std::atomic<std::uint64_t> total_rows_captured{0};
-
-  timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      const auto utid = static_cast<std::size_t>(tid);
-      auto acc = policy.make();
-      policy.prepare(acc, schedule.sizing_max_row_flop(tid), b.ncols);
-      const bool batch_probes =
-          kPolicyBatches && thread_batches(cfg.probe_batching, acc);
-
-      auto& scols = staged_cols[utid];
-      auto& svals = staged_vals[utid];
-      auto& recs = records[utid];
-      EpilogueState* est = fused ? &epi_states[utid] : nullptr;
-      if (est != nullptr) {
-        est->begin_pass(espec, static_cast<std::size_t>(b.ncols));
-      }
-      if (static_tiles) {
-        // Reserve at an optimistic compression ratio to limit regrowth.
-        const std::size_t thread_flop = static_cast<std::size_t>(
-            part.flop_prefix[part.offsets[utid + 1]] -
-            part.flop_prefix[part.offsets[utid]]);
-        scols.reserve(thread_flop / 4 + 64);
-        svals.reserve(thread_flop / 4 + 64);
-      }
-
-      // A tile never records more than 2 * its flop in slots, so small
-      // products need far less scratch than the full budget.
-      const auto capture_flop_bound =
-          static_cast<std::size_t>(schedule.capture_flop_bound(tid));
-      const std::size_t capture_entries =
-          std::min(budget_entries, 2 * capture_flop_bound + 16);
-      mem::ThreadScratch<IT> capture_scratch;
-      IT* cap =
-          reuse_enabled ? capture_scratch.ensure(capture_entries) : nullptr;
-      // Stanza key buffer (and count-path slot sink) of the batched probing
-      // pipeline; grow-only per row.
-      mem::ThreadScratch<IT> key_scratch;
-      mem::ThreadScratch<IT> count_slot_scratch;
-      std::vector<RowCapture<IT>> meta;
-      std::vector<std::pair<IT, IT>> sort_buf;  // (col, slot) for sorted rows
-
-      std::uint64_t last_probes = acc.probes();
-      std::uint64_t last_keys = keys_resolved_of(acc);
-      std::uint64_t sym_probes = 0;
-      std::uint64_t num_probes = 0;
-      std::uint64_t sym_keys = 0;
-      std::uint64_t num_keys = 0;
-      std::uint64_t tiles_done = 0;
-      std::uint64_t rows_captured = 0;
-      Timer tile_timer;
-
-      const auto process_tile = [&](std::size_t r0, std::size_t r1) {
-        meta.assign(r1 - r0, RowCapture<IT>{});
-        const std::size_t stage_begin = scols.size();
-        std::size_t cap_used = 0;
-        std::size_t stage_off = stage_begin;
-
-        // ---- Symbolic over the tile. ---------------------------------
-        tile_timer.reset();
-        for (std::size_t i = r0; i < r1; ++i) {
-          RowCapture<IT>& row = meta[i - r0];
-          const Offset row_flop =
-              part.flop_prefix[i + 1] - part.flop_prefix[i];
-          const bool force_sorted = policy.begin_row(acc, row_flop);
-          row.sorted =
-              opts.sort_output == SortOutput::kYes || force_sorted;
-          row.captured =
-              reuse_enabled &&
-              cap_used + 2 * static_cast<std::size_t>(row_flop) <=
-                  capture_entries;
-          row.stage_off = stage_off;
-          row.cap_off = cap_used;
-          if (row.captured) {
-            std::size_t ns;
-            if constexpr (kPolicyBatches) {
-              ns = batch_probes
-                       ? capture_row_batch(acc, a, b, i, row_flop,
-                                           cap + cap_used, key_scratch)
-                       : capture_row(acc, a, b, i, cap + cap_used);
-            } else {
-              ns = capture_row(acc, a, b, i, cap + cap_used);
-            }
-            const std::size_t nnz = acc.count();
-            row.nnz = static_cast<IT>(nnz);
-            // Gather slots (and final column order) are fixed now, while
-            // the accumulator still holds the row.
-            scols.resize(stage_off + nnz);
-            record_gather<IT, VT>(acc, nnz, row.sorted, cap + cap_used + ns,
-                                  scols.data() + stage_off, sort_buf);
-            cap_used += ns + nnz;
-            ++rows_captured;
-          } else {
-            if constexpr (kPolicyBatches) {
-              if (batch_probes) {
-                count_row_batch(acc, a, b, i, row_flop, key_scratch,
-                                count_slot_scratch);
-              } else {
-                count_row(acc, a, b, i);
-              }
-            } else {
-              count_row(acc, a, b, i);
-            }
-            row.nnz = static_cast<IT>(acc.count());
-            scols.resize(stage_off + static_cast<std::size_t>(row.nnz));
-          }
-          c.rpts[i] = static_cast<Offset>(row.nnz);
-          stage_off += static_cast<std::size_t>(row.nnz);
-          acc.reset();
-        }
-        sym_seconds[utid] += tile_timer.seconds();
-        {
-          const std::uint64_t cur = acc.probes();
-          sym_probes += cur - last_probes;
-          last_probes = cur;
-          const std::uint64_t cur_keys = keys_resolved_of(acc);
-          sym_keys += cur_keys - last_keys;
-          last_keys = cur_keys;
-        }
-
-        // ---- Numeric over the tile (A/B rows still cache-hot). -------
-        tile_timer.reset();
-        svals.resize(scols.size());
-        // Fused epilogues compact each finished row forward to `compact`,
-        // so only the kept entries survive the tile (the full row lives
-        // exactly as long as it is cache-hot).
-        std::size_t compact = stage_begin;
-        for (std::size_t i = r0; i < r1; ++i) {
-          const RowCapture<IT>& row = meta[i - r0];
-          const Offset row_flop =
-              part.flop_prefix[i + 1] - part.flop_prefix[i];
-          policy.begin_row(acc, row_flop);
-          if (row.captured) {
-            const IT* slot_stream = cap + row.cap_off;
-            const std::size_t ns =
-                replay_row<SR>(acc, a, b, i, slot_stream, replay_kind);
-            gather_values(static_cast<const VT*>(acc.slot_values()),
-                          slot_stream + ns,
-                          static_cast<std::size_t>(row.nnz),
-                          svals.data() + row.stage_off);
-          } else {
-            probe_row<SR>(acc, a, b, i);
-            IT* out_cols = scols.data() + row.stage_off;
-            VT* out_vals = svals.data() + row.stage_off;
-            if (row.sorted) {
-              acc.extract_sorted(out_cols, out_vals);
-            } else {
-              acc.extract_unsorted(out_cols, out_vals);
-            }
-            acc.reset();
-          }
-          if (est != nullptr) {
-            const std::uint64_t t0 = monotonic_ns();
-            const std::size_t kept = apply_row_epilogue(
-                espec, ectx, *est, i, scols.data() + row.stage_off,
-                svals.data() + row.stage_off,
-                static_cast<std::size_t>(row.nnz), scols.data() + compact,
-                svals.data() + compact);
-            est->seconds +=
-                static_cast<double>(monotonic_ns() - t0) * 1e-9;
-            c.rpts[i] = static_cast<Offset>(kept);
-            compact += kept;
-          }
-        }
-        if (est != nullptr) {
-          scols.resize(compact);
-          svals.resize(compact);
-        }
-        num_seconds[utid] += tile_timer.seconds();
-        {
-          const std::uint64_t cur = acc.probes();
-          num_probes += cur - last_probes;
-          last_probes = cur;
-          const std::uint64_t cur_keys = keys_resolved_of(acc);
-          num_keys += cur_keys - last_keys;
-          last_keys = cur_keys;
-        }
-
-        recs.push_back({r0, r1, stage_begin});
-        ++tiles_done;
-      };
-
-      schedule.for_each_tile(
-          tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
-                   bool /*stolen*/) {
-            process_tile(tile.row_begin, tile.row_end);
-          });
-
-      total_sym_probes.fetch_add(sym_probes, std::memory_order_relaxed);
-      total_num_probes.fetch_add(num_probes, std::memory_order_relaxed);
-      total_sym_keys.fetch_add(sym_keys, std::memory_order_relaxed);
-      total_num_keys.fetch_add(num_keys, std::memory_order_relaxed);
-      total_tiles.fetch_add(tiles_done, std::memory_order_relaxed);
-      total_rows_captured.fetch_add(rows_captured,
-                                    std::memory_order_relaxed);
-    }
-  }
-
-  // ---- Size the output: parallel exclusive scan over per-row counts. -----
-  Timer place_timer;
-  c.rpts[nrows] = 0;
-  parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
-
-  if (nthreads == 1) {
-    // One thread processes every tile in row order, so its staging buffers
-    // ARE the final cols/vals: adopt them and skip the placement copy
-    // entirely.
-    c.cols = std::move(staged_cols[0]);
-    c.vals = std::move(staged_vals[0]);
-  } else {
-    const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
-    // Default-init resize: no zeroing pass; the placement copies below are
-    // the first touch of every page, in the thread that owns the tile.
-    c.cols.resize(nnz_c);
-    c.vals.resize(nnz_c);
-
-    // ---- Place every staged tile at its final offset (bulk copies). ------
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < part.threads()) {
-        const auto utid = static_cast<std::size_t>(tid);
-        for (const TileRecord& rec : records[utid]) {
-          const auto dst = static_cast<std::size_t>(c.rpts[rec.row_begin]);
-          const auto len =
-              static_cast<std::size_t>(c.rpts[rec.row_end]) - dst;
-          std::copy_n(staged_cols[utid].data() + rec.stage_begin, len,
-                      c.cols.data() + dst);
-          std::copy_n(staged_vals[utid].data() + rec.stage_begin, len,
-                      c.vals.data() + dst);
-        }
-      }
-    }
-  }
-  const double place_ms = place_timer.millis();
-
-  // Slowest thread's share of each interleaved phase (the phases fuse per
-  // tile, so per-thread accumulation is the only attribution available).
-  double sym_s = 0.0;
-  double num_s = 0.0;
-  for (int t = 0; t < nthreads; ++t) {
-    sym_s = std::max(sym_s, sym_seconds[static_cast<std::size_t>(t)]);
-    num_s = std::max(num_s, num_seconds[static_cast<std::size_t>(t)]);
-  }
-
-  // ---- Fold per-thread epilogue partials (ascending thread order, which
-  // is ascending row-range order under the static partition). ------------
-  double epi_s = 0.0;
-  std::uint64_t epi_rows = 0;
-  if (fused) {
-    fold_epilogue_partials(
-        espec, nthreads, static_cast<std::size_t>(b.ncols),
-        [&](int t) -> const EpilogueState& {
-          return epi_states[static_cast<std::size_t>(t)];
-        },
-        ectx.result, epi_rows, epi_s);
-    if (telemetry::enabled()) {
-      EpilogueTelemetry::get().for_kind(espec.kind).add(epi_rows);
-      telemetry::phase_observe("epilogue", epi_s);
-    }
-  }
-
-  if (telemetry::enabled()) {
-    // The symbolic/numeric phases were already timed per tile above — feed
-    // the measured spans rather than re-timing (capture shows up as the
-    // reuse_rows counters, not a separate wall phase).
-    telemetry::phase_observe("oneshot.setup", setup_s);
-    telemetry::phase_observe("oneshot.symbolic", sym_s);
-    telemetry::phase_observe("oneshot.numeric", num_s);
-    telemetry::phase_observe("oneshot.placement", place_ms * 1e-3);
-  }
-
-  if (stats != nullptr) {
-    // Report the slowest thread's share of each phase and fold the scan +
-    // placement copy into the numeric side.
-    stats->symbolic_ms = sym_s * 1e3;
-    stats->numeric_ms = num_s * 1e3 + place_ms;
-    stats->nnz_out = c.rpts[nrows];
-    stats->symbolic_probes =
-        total_sym_probes.load(std::memory_order_relaxed);
-    stats->numeric_probes = total_num_probes.load(std::memory_order_relaxed);
-    stats->probes = stats->symbolic_probes + stats->numeric_probes;
-    stats->symbolic_keys = total_sym_keys.load(std::memory_order_relaxed);
-    stats->numeric_keys = total_num_keys.load(std::memory_order_relaxed);
-    stats->tile_count = total_tiles.load(std::memory_order_relaxed);
-    stats->tile_steals = schedule.steals();
-    stats->reuse_rows_captured =
-        total_rows_captured.load(std::memory_order_relaxed);
-    stats->reuse_rows_total = nrows;
-    stats->epilogue_rows = epi_rows;
-    stats->epilogue_ms = epi_s * 1e3;
-  }
-
-  c.sortedness = opts.sort_output == SortOutput::kYes
-                     ? Sortedness::kSorted
-                     : Sortedness::kUnsorted;
-  return c;
 }
 
 }  // namespace spgemm::detail

@@ -1,7 +1,7 @@
 // Structured synthetic generators besides R-MAT: banded FEM-like matrices
 // and exact-size uniform random matrices.  These back the SuiteSparse
-// proxy registry (see suitesparse_proxy.hpp and the DESIGN.md
-// substitutions table).
+// proxy registry (see suitesparse_proxy.hpp and the README "Stand-in
+// kernels" table).
 #pragma once
 
 #include <omp.h>

@@ -3,7 +3,7 @@
 //
 // This environment has no access to sparse.tamu.edu, so each matrix is
 // replaced by a generator from the structural family that drives its
-// SpGEMM behaviour (see DESIGN.md substitutions): banded FEM-like matrices
+// SpGEMM behaviour (see README "Stand-in kernels"): banded FEM-like matrices
 // for the mesh/stiffness inputs (high compression ratio, uniform rows),
 // uniform random matrices for the cage/economics class (low CR), and
 // power-law R-MAT for the web/patent/circuit graphs (low CR, skewed rows).

@@ -48,7 +48,9 @@ static_assert((kMinClassBytes << (kNumClasses - 1)) == kMaxClassBytes);
 struct BlockHeader {
   std::int32_t size_class;  // -1 marks an oversize (operator new) block
   std::int32_t magic;       // lightweight double-free / foreign-free guard
+  std::uint64_t owner;      // ThreadCache::id of the allocating thread
 };
+static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 constexpr std::int32_t kMagicLive = 0x5167B10C;   // "SIGBLOC"
 constexpr std::int32_t kMagicFree = 0x0DEADF5E;
 
@@ -114,7 +116,9 @@ class Arena {
     return head;
   }
 
-  /// Push a whole list of blocks of class `cls` onto the global spill list.
+  /// Push a whole list of blocks of class `cls` onto the global spill list
+  /// (thread-cache flushes, and single blocks freed by a thread other than
+  /// the one that allocated them).
   void spill(int cls, FreeNode* head, FreeNode* tail) {
     std::lock_guard<std::mutex> lock(mutex_);
     tail->next = spill_[cls];
@@ -139,9 +143,14 @@ class Arena {
   FreeNode* spill_[kNumClasses] = {};
 };
 
+std::atomic<std::uint64_t> g_next_cache_id{0};
+
 /// Per-thread free lists, one per size class.
 struct ThreadCache {
   FreeNode* lists[kNumClasses] = {};
+  /// Process-unique tag stamped into the blocks this thread allocates.
+  const std::uint64_t id =
+      g_next_cache_id.fetch_add(1, std::memory_order_relaxed);
 
   ~ThreadCache() {
     // Return everything to the arena so other threads can reuse it.
@@ -203,6 +212,7 @@ void* pool_malloc(std::size_t bytes) {
   }
   BlockHeader* hdr = header_of(node);
   hdr->magic = kMagicLive;
+  hdr->owner = cache.id;
   return node;
 }
 
@@ -220,6 +230,13 @@ void pool_free(void* ptr) {
   hdr->magic = kMagicFree;
   ThreadCache& cache = thread_cache();
   auto* node = static_cast<FreeNode*>(ptr);
+  if (hdr->owner != cache.id) {
+    // Another thread allocated it: hand it back through the arena, where
+    // that thread (or any other) can pop it, instead of stranding it in
+    // this thread's cache.
+    Arena::instance().spill(hdr->size_class, node, node);
+    return;
+  }
   node->next = cache.lists[hdr->size_class];
   cache.lists[hdr->size_class] = node;
 }

@@ -14,8 +14,13 @@
 //     through to ::operator new / delete (they are rare and intentionally
 //     visible in the Fig. 4 reproduction).
 //   * each thread owns a ThreadCache (thread_local) of per-class free lists;
-//     blocks freed by a thread go to that thread's cache regardless of the
-//     allocating thread — safe because a block carries its class in a header.
+//     a block freed by the thread that allocated it is an O(1) lock-free
+//     push onto that cache.  A block freed by ANOTHER thread (OpenMP
+//     workers allocate per-thread state, the caller destroys it) goes to
+//     the arena's spill list, where the allocating side pops it on its next
+//     miss; otherwise every such cycle would strand its blocks in the
+//     caller's cache and carve fresh chunks for the workers.  The header
+//     carries the block's class and allocating thread.
 //   * carving: when a class list is empty the cache carves a chunk from the
 //     global arena (lock-guarded bump region) and splits it into blocks.
 //

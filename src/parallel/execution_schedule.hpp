@@ -4,10 +4,9 @@
 // WHO runs WHICH rows: the flop-balanced tile plan (parallel/tiles.hpp cuts
 // inside each thread's RowPartition range, so tile ownership is aligned with
 // the Fig. 6 partition), the assignment policy, and the per-pass claim state.
-// The fused one-shot driver (core/spgemm_twophase.hpp) and the persistent
-// inspector-executor handle (core/spgemm_handle.hpp) traverse the SAME
-// schedule object, so the two paths can never disagree on tile cuts,
-// ownership, or accumulator sizing.
+// The one tile loop (detail::KernelPlan, core/spgemm_handle.hpp) traverses
+// it for one-shot multiplies and plan/execute handles alike, so the two
+// paths can never disagree on tile cuts, ownership, or accumulator sizing.
 //
 // Three assignment policies (SpGemmOptions::tile_schedule):
 //   * kStatic   — each thread runs exactly its owned tiles, in row order.
@@ -101,18 +100,6 @@ class ExecutionSchedule {
     return owner_begin_[t + 1] - owner_begin_[t];
   }
 
-  /// Visit thread `tid`'s OWNED tiles in row order, regardless of which
-  /// thread actually ran them during a pass — ownership, not the claim
-  /// state, is what NUMA-locality repair (retouch_output_pages) needs.
-  /// Visit: void(const TileRange&).
-  template <typename Visit>
-  void for_each_owned_tile(int tid, Visit&& visit) const {
-    const auto t = static_cast<std::size_t>(tid);
-    for (std::size_t i = owner_begin_[t]; i < owner_begin_[t + 1]; ++i) {
-      visit(tiles_[i]);
-    }
-  }
-
   /// Worst-case per-row flop a thread's accumulator must hold: under the
   /// static policy a thread only ever sees its owned rows; under dynamic or
   /// stealing it may run any tile, so sizing must cover the global maximum.
@@ -128,7 +115,7 @@ class ExecutionSchedule {
   /// Flop bound for sizing a thread's capture scratch: under the static
   /// policy a thread captures at most its owned rows' flop; under dynamic
   /// or stealing it may run any tile, so only the total flop bounds it.
-  /// Shared by the fused driver and the handle so capture eligibility can
+  /// Shared by one-shot and planned products so capture eligibility can
   /// never diverge between the two paths.
   [[nodiscard]] Offset capture_flop_bound(int tid) const {
     return policy_ == TileSchedule::kStatic

@@ -844,42 +844,5 @@ TEST(EngineApps, GalerkinEngineModeSurvivesStructureDrift) {
                        "return-drift coarse operator");
 }
 
-// ---------------------------------------------------------------------------
-// NUMA re-touch satellite: correctness is untouched, pages are counted.
-// ---------------------------------------------------------------------------
-
-TEST(EngineSatellites, RetouchOutputPagesKeepsResultsAndCounts) {
-  const Matrix a = dense_row_among_empties(2048);
-  SpGemmOptions base;
-  base.algorithm = Algorithm::kHash;
-  base.tile_schedule = parallel::TileSchedule::kStealing;
-  base.tile_rows = 64;
-  base.threads = 4;
-
-  SpGemmOptions retouch = base;
-  retouch.retouch_output_pages = true;
-
-  SpGemmStats plain_stats;
-  SpGemmHandle<I, double> plain(a, a, base);
-  const Matrix& c_plain = plain.execute(a, a, PlusTimes{}, &plain_stats);
-
-  SpGemmStats retouch_stats;
-  SpGemmHandle<I, double> touched(a, a, retouch);
-  const Matrix& c_touched =
-      touched.execute(a, a, PlusTimes{}, &retouch_stats);
-
-  expect_bitwise_equal(c_touched, c_plain, "retouch on vs off");
-  EXPECT_EQ(plain_stats.pages_retouched, 0u);
-  if (retouch_stats.tile_steals > 0) {
-    EXPECT_GT(retouch_stats.pages_retouched, 0u);
-  } else {
-    EXPECT_EQ(retouch_stats.pages_retouched, 0u);
-  }
-  // The pass runs once per plan: a second execute adds no pages.
-  const std::uint64_t after_first = retouch_stats.pages_retouched;
-  touched.execute(a, a, PlusTimes{}, &retouch_stats);
-  EXPECT_EQ(retouch_stats.pages_retouched, after_first);
-}
-
 }  // namespace
 }  // namespace spgemm

@@ -1,6 +1,6 @@
-// Fused epilogue pipelines (core/spgemm_options.hpp EpilogueSpec,
-// core/spgemm_twophase.hpp fused driver, core/spgemm_handle.hpp fused
-// replay, core/spgemm_rap.hpp, engine wiring).
+// Fused epilogue pipelines (core/spgemm_options.hpp EpilogueSpec, the
+// one-shot and fused-replay passes of core/spgemm_handle.hpp,
+// core/spgemm_rap.hpp, engine wiring).
 //
 // The contract under test is bit-identity: a fused epilogue must produce
 // EXACTLY the bytes of the unfused multiply followed by the equivalent

@@ -25,7 +25,6 @@
 #include "apps/amg_galerkin.hpp"
 #include "apps/markov_cluster.hpp"
 #include "core/multiply.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
 #include "core/spgemm_hash.hpp"
 #include "core/spgemm_hashvector.hpp"
@@ -86,9 +85,10 @@ std::string handle_name(const ::testing::TestParamInfo<HandleParam>& info) {
 
 class HandleSweep : public ::testing::TestWithParam<HandleParam> {};
 
-/// Independent oracle: the fused per-tile one-shot driver (or the direct
-/// adaptive kernel), which shares only the row-level primitives with the
-/// handle — not its plan/execute orchestration.
+/// The tile loop's one-shot order (symbolic then numeric per tile, staged
+/// and placed) through the per-kernel entry points, against the handle's
+/// plan/execute order (every row's symbolic pass first, numeric replay into
+/// final offsets later).
 template <typename SR>
 Matrix fused_one_shot(const Matrix& a, const SpGemmOptions& opts, SR sr) {
   switch (opts.algorithm) {
@@ -101,7 +101,10 @@ Matrix fused_one_shot(const Matrix& a, const SpGemmOptions& opts, SR sr) {
     case Algorithm::kKkHash:
       return spgemm_kkhash(a, a, opts, nullptr, sr);
     case Algorithm::kAdaptive:
-      return spgemm_adaptive(a, a, opts, nullptr, AdaptiveThresholds{}, sr);
+      return detail::run_once<I, double>(
+          a, a, opts,
+          detail::AdaptivePlanPolicy<I, double>::for_product(a.ncols),
+          nullptr, sr);
     default:
       throw std::logic_error("fused_one_shot: not a two-phase kernel");
   }
@@ -135,7 +138,7 @@ TEST_P(HandleSweep, PlanExecuteBitIdenticalToOneShot) {
   }
   expect_bitwise_equal(into, one_shot, "execute_into vs one-shot");
   expect_bitwise_equal(pooled, one_shot, "pooled execute vs one-shot");
-  expect_bitwise_equal(into, fused, "handle vs fused driver");
+  expect_bitwise_equal(into, fused, "handle vs per-kernel one-shot");
   if (p.algebra == Algebra::kPlusTimes) {
     // Unit values make (+,*) products exact: the serial oracle must agree
     // bitwise after sorting.

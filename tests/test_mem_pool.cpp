@@ -91,6 +91,35 @@ TEST(PoolAllocator, CrossThreadFreeIsSafe) {
   }
 }
 
+TEST(PoolAllocator, CallerFreedWorkerBlocksAreReused) {
+  // The SpGemmHandle lifetime shape: OpenMP workers allocate per-thread
+  // state, the caller destroys it.  Those blocks must come back to the
+  // workers on the next cycle, so after the first round no cycle carves.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  constexpr std::size_t kBytes = 96 * 1024;
+  std::vector<void*> blocks(kThreads * kPerThread, nullptr);
+  const auto cycle = [&] {
+#pragma omp parallel num_threads(kThreads)
+    {
+      const int tid = omp_get_thread_num();
+      for (int i = 0; i < kPerThread; ++i) {
+        void* p = pool_malloc(kBytes);
+        std::memset(p, tid, 64);
+        blocks[static_cast<std::size_t>(tid * kPerThread + i)] = p;
+      }
+    }
+    for (void*& p : blocks) {
+      pool_free(p);
+      p = nullptr;
+    }
+  };
+  cycle();
+  const std::uint64_t after_first = pool_stats().bytes_in_arena;
+  for (int round = 0; round < 6; ++round) cycle();
+  EXPECT_EQ(pool_stats().bytes_in_arena, after_first);
+}
+
 TEST(PoolAllocator, FlushThenRefill) {
   void* a = pool_malloc(2048);
   pool_free(a);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/multiply.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/ops.hpp"
@@ -158,7 +157,11 @@ TEST(Adaptive, ThresholdKnobsRespected) {
       th.tiny_flop = tiny;
       th.dense_divisor = divisor;
       SpGemmOptions opts;
-      const Matrix c = spgemm_adaptive(a, a, opts, nullptr, th);
+      opts.algorithm = Algorithm::kAdaptive;
+      const Matrix c = detail::run_once<I, double>(
+          a, a, opts, detail::AdaptivePlanPolicy<I, double>::for_product(
+                          a.ncols, th),
+          nullptr);
       ASSERT_TRUE(approx_equal(c, expected, 1e-9))
           << "tiny=" << tiny << " divisor=" << divisor;
     }

@@ -1,4 +1,5 @@
-// Tiled structure-reuse driver properties (core/spgemm_twophase.hpp).
+// Tiled structure-reuse properties of the one tile loop
+// (core/spgemm_handle.hpp).
 //
 // The capture/replay pipeline folds numeric contributions in exactly the
 // traversal order of the classic re-probing path, so reuse-on and reuse-off
