@@ -3,8 +3,11 @@
 // Three pipelines, each measured fused and unfused:
 //   * MCL expansion round: M^2 with inflation+pruning fused as a
 //     kPruneScale epilogue vs materialize-then-inflate_and_prune;
-//   * triangle counting: L*U with the mask+reduce fused as kMaskReduce vs
-//     materialize-the-wedges-then-masked_sum;
+//   * triangle counting: L*U masked by L at probe time with the reduce
+//     fused as kMaskReduce (tricount-fused), the same masked product kept
+//     as a matrix and summed (tricount-masked, multiply_masked), and
+//     materialize-the-wedges-then-masked_sum (tricount-unfused); the three
+//     rows carry their triangle count, which must agree;
 //   * Galerkin RAP: multiply_rap vs R*(A*P) with the AP intermediate.
 //
 // Wall time is measured in-process (fused variants first, after a full-scale
@@ -55,6 +58,7 @@ struct Measured {
   long long rss_delta = 0;     ///< peak RSS (child process) or delta
   long long executions = 0;    ///< iterations per run (MCL rows)
   Offset intermediate_nnz = 0; ///< nnz the unfused pipeline materialized
+  long long triangles = 0;     ///< triangle count (tricount rows)
 };
 
 /// Median-of-trials wall time with an in-process peak-RSS delta as the
@@ -86,11 +90,15 @@ void add_row(JsonReporter& json, const std::string& kernel,
   rec.peak_rss_bytes = m.rss_delta;
   rec.executions = m.executions;
   rec.nnz_out = m.intermediate_nnz;
+  rec.triangles = m.triangles;
   json.add(std::move(rec));
-  std::printf("%-22s %10.2f ms   peak rss %.1f MiB   intermediate nnz %lld\n",
-              kernel.c_str(), m.ms,
-              static_cast<double>(m.rss_delta) / (1024.0 * 1024.0),
-              static_cast<long long>(m.intermediate_nnz));
+  std::printf(
+      "%-22s %10.2f ms   peak rss %.1f MiB   intermediate nnz %lld%s\n",
+      kernel.c_str(), m.ms,
+      static_cast<double>(m.rss_delta) / (1024.0 * 1024.0),
+      static_cast<long long>(m.intermediate_nnz),
+      m.triangles > 0 ? ("   triangles " + std::to_string(m.triangles)).c_str()
+                      : "");
 }
 
 void add_estimate_row(JsonReporter& json, const std::string& kernel,
@@ -121,6 +129,8 @@ void run_variant_once(const std::string& name, const Matrix& a,
     apps::markov_cluster(a, params);
   } else if (name == "tricount-fused") {
     apps::count_triangles_fused(a, opts);
+  } else if (name == "tricount-masked") {
+    apps::count_triangles_masked(a, opts);
   } else if (name == "tricount-unfused") {
     apps::count_triangles(a, opts);
   } else if (name == "rap-fused") {
@@ -225,9 +235,13 @@ int main(int, char** argv) {
     }
   }
 
-  long long triangles_fused = 0;
-  Measured tri_fused = measure([&](Measured&) -> Offset {
-    triangles_fused = apps::count_triangles_fused(a, opts).triangles;
+  Measured tri_fused = measure([&](Measured& out) -> Offset {
+    out.triangles = apps::count_triangles_fused(a, opts).triangles;
+    return 0;
+  });
+
+  Measured tri_masked = measure([&](Measured& out) -> Offset {
+    out.triangles = apps::count_triangles_masked(a, opts).triangles;
     return 0;
   });
 
@@ -251,15 +265,17 @@ int main(int, char** argv) {
     }
   }
 
-  long long triangles_unfused = 0;
-  Measured tri_unfused = measure([&](Measured&) -> Offset {
+  Measured tri_unfused = measure([&](Measured& out) -> Offset {
     const auto result = apps::count_triangles(a, opts);
-    triangles_unfused = result.triangles;
+    out.triangles = result.triangles;
     return static_cast<Offset>(result.wedges.nnz());
   });
-  if (triangles_fused != triangles_unfused) {
-    std::fprintf(stderr, "FUSED/UNFUSED TRIANGLE MISMATCH: %lld vs %lld\n",
-                 triangles_fused, triangles_unfused);
+  if (tri_fused.triangles != tri_unfused.triangles ||
+      tri_masked.triangles != tri_unfused.triangles) {
+    std::fprintf(stderr,
+                 "TRIANGLE MISMATCH: fused %lld, masked %lld, unfused %lld\n",
+                 tri_fused.triangles, tri_masked.triangles,
+                 tri_unfused.triangles);
     return 1;
   }
 
@@ -278,6 +294,7 @@ int main(int, char** argv) {
   for (const Probe& pr : {Probe{"mcl-fused", &mcl_fused},
                           Probe{"mcl-unfused", &mcl_unfused},
                           Probe{"tricount-fused", &tri_fused},
+                          Probe{"tricount-masked", &tri_masked},
                           Probe{"tricount-unfused", &tri_unfused},
                           Probe{"rap-fused", &rap_fused},
                           Probe{"rap-unfused", &rap_unfused}}) {
@@ -287,6 +304,7 @@ int main(int, char** argv) {
 
   add_row(json, "mcl-fused", matrix, mcl_fused);
   add_row(json, "tricount-fused", matrix, tri_fused);
+  add_row(json, "tricount-masked", matrix, tri_masked);
   add_row(json, "rap-fused", matrix, rap_fused);
   add_row(json, "mcl-unfused", matrix, mcl_unfused);
   add_row(json, "tricount-unfused", matrix, tri_unfused);

@@ -81,6 +81,9 @@ struct BenchRecord {
   /// the first row to reach a high-water mark sees a non-zero delta —
   /// benches that compare footprints run the smaller variant first.
   long long peak_rss_bytes = 0;
+  /// App result count (bench_abl_epilogue's tricount rows: triangles), so
+  /// CI can check that variants of one pipeline agree.  Zero elsewhere.
+  long long triangles = 0;
 };
 
 /// Percentile of a latency sample by nearest-rank (q in [0, 1]); the shared
@@ -165,7 +168,7 @@ class JsonReporter {
           "\"deadline_misses\": %lld, \"retries\": %lld, "
           "\"degraded_execs\": %lld, \"spills\": %lld, "
           "\"in_core_rate\": %.4f, \"cache_hit_share\": %.4f, "
-          "\"peak_rss_bytes\": %lld}%s\n",
+          "\"peak_rss_bytes\": %lld, \"triangles\": %lld}%s\n",
           json_escape(r.kernel).c_str(), json_escape(r.matrix).c_str(),
           r.threads, r.total_ms, r.symbolic_ms, r.numeric_ms, r.mflops,
           r.reuse_hit_rate, static_cast<long long>(r.flop),
@@ -174,7 +177,7 @@ class JsonReporter {
           r.p99_ms, r.p999_ms, r.overlay_occupancy, r.probe_rounds,
           r.keys_per_round, r.shed,
           r.deadline_misses, r.retries, r.degraded_execs, r.spills,
-          r.in_core_rate, r.cache_hit_share, r.peak_rss_bytes,
+          r.in_core_rate, r.cache_hit_share, r.peak_rss_bytes, r.triangles,
           i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "],\n\"telemetry\": %s}\n",

@@ -2,11 +2,23 @@
 // [4]).
 //
 // Pipeline: reorder vertices by increasing degree, split the adjacency
-// matrix A = L + U into strict triangles, compute the wedge matrix W = L*U
-// (the SpGEMM step the paper benchmarks), then count the wedges that close
-// into triangles: with the smallest-labelled vertex as the wedge apex,
-// every triangle {i, j, k} (k < j < i) is counted exactly once by
-// sum( (L*U) .* L ).
+// matrix A = L + U into strict triangles (unit-valued, so wedge counts are
+// pure path counts), compute the wedge matrix W = L*U (the SpGEMM step the
+// paper benchmarks), then count the wedges that close into triangles: with
+// the smallest-labelled vertex as the wedge apex, every triangle {i, j, k}
+// (k < j < i) is counted exactly once by sum( (L*U) .* L ).
+//
+// Three counters share that pipeline and differ in where the mask L is
+// applied:
+//   * count_triangles         — materializes W, then masked_sum (the
+//                               paper's Fig. 17 pipeline);
+//   * count_triangles_masked  — the masked product L .* (L*U), tested at
+//                               probe time, kept as out.wedges;
+//   * count_triangles_fused   — the same masked product with a kMaskReduce
+//                               epilogue that sums each filtered row and
+//                               keeps nothing.
+// The masked two run one pass with no symbolic phase: only wedges that L
+// keeps ever reach an accumulator.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +27,7 @@
 #include "core/spgemm_masked.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/triangular.hpp"
+#include "parallel/omp_utils.hpp"
 
 namespace spgemm::apps {
 
@@ -32,9 +45,8 @@ struct TriangleCountResult {
 template <IndexType IT, ValueType VT>
 TriangleCountResult<IT, VT> count_triangles_masked(
     const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
-  CsrMatrix<IT, VT> pattern = a;
-  for (auto& v : pattern.vals) v = VT{1};
-  TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
+  parallel::ScopedNumThreads scoped(opts.threads);
+  const TriangularSplit<IT, VT> split = prepare_triangle_split(a);
   if (opts.algorithm == Algorithm::kAuto) opts.algorithm = Algorithm::kHash;
 
   TriangleCountResult<IT, VT> out;
@@ -47,18 +59,17 @@ TriangleCountResult<IT, VT> count_triangles_masked(
 }
 
 /// Fused-epilogue variant: the wedge matrix W = L*U is never materialized.
-/// A kMaskReduce epilogue intersects each W row with L's row and folds the
-/// surviving wedge counts into a scalar while the row is still in the
-/// accumulator's staging buffer — zero entries are kept, so the pipeline's
-/// peak memory is the inputs plus thread scratch.  Counts are integer-valued
-/// doubles, so the per-thread fold is exact and the result matches
-/// count_triangles() bit-for-bit.  out.wedges stays empty.
+/// The product is masked by L at probe time, and a kMaskReduce epilogue
+/// folds each filtered row's wedge counts into a scalar while the row is
+/// still in the accumulator's staging buffer — zero entries are kept, so
+/// the pipeline's peak memory is the inputs plus thread scratch.  Counts
+/// are integer-valued doubles, so the per-thread fold is exact and the
+/// result matches count_triangles() bit-for-bit.  out.wedges stays empty.
 template <IndexType IT, ValueType VT>
 TriangleCountResult<IT, VT> count_triangles_fused(
     const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
-  CsrMatrix<IT, VT> pattern = a;
-  for (auto& v : pattern.vals) v = VT{1};
-  TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
+  parallel::ScopedNumThreads scoped(opts.threads);
+  const TriangularSplit<IT, VT> split = prepare_triangle_split(a);
 
   if (opts.algorithm == Algorithm::kAuto) {
     opts.algorithm = recipe::select_for(
@@ -81,11 +92,8 @@ TriangleCountResult<IT, VT> count_triangles_fused(
 template <IndexType IT, ValueType VT>
 TriangleCountResult<IT, VT> count_triangles(const CsrMatrix<IT, VT>& a,
                                             SpGemmOptions opts = {}) {
-  // Binarize so wedge counts are pure path counts.
-  CsrMatrix<IT, VT> pattern = a;
-  for (auto& v : pattern.vals) v = VT{1};
-
-  TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
+  parallel::ScopedNumThreads scoped(opts.threads);
+  const TriangularSplit<IT, VT> split = prepare_triangle_split(a);
 
   if (opts.algorithm == Algorithm::kAuto) {
     opts.algorithm = recipe::select_for(

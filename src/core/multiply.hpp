@@ -86,9 +86,10 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
 /// epilogue runs on each output row inside the tile loop, while the row is
 /// cache-hot, and only the kept entries are ever staged — the full
 /// intermediate never materializes.  Two-phase kernels only (kAuto resolves
-/// to one, falling back to kHash).  `mask` is the kMaskReduce operand;
-/// `result` receives the scalar outputs (reduction, column sums).  kRap
-/// products go through multiply_rap() (core/spgemm_rap.hpp) instead.
+/// to one, falling back to kHash).  `mask` restricts the product to its
+/// structure while probing (kMaskReduce requires one); `result` receives
+/// the scalar outputs (reduction, column sums).  kRap products go through
+/// multiply_rap() (core/spgemm_rap.hpp) instead.
 template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> multiply_with_epilogue(
     const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,

@@ -43,6 +43,11 @@
 // only re-fingerprints when the caller hands in different objects.  A
 // caller that mutates column indices IN PLACE defeats the O(1) check —
 // call verify_structure() to force the full comparison.
+//
+// Masks: a mask attached before plan() (set_epilogue_mask) is an operand
+// of the plan — C = M .* (A * B), tested while probing, so the plan
+// captures in-mask products only.  The mask's structure is held to the
+// same contract as A's and B's.
 #pragma once
 
 #include <omp.h>
@@ -198,6 +203,7 @@ struct ThreadPlan {
   mem::Buffer<VT> row_vals;  ///< one row's values (captured + fallback)
   mem::Buffer<IT> row_cols;  ///< one fallback row's columns
   EpilogueState epi;
+  MaskFlags<IT> mask;  ///< masked products: the current mask row's flags
 };
 
 /// O(1) identity of a CSR structure: array addresses and dimensions prove
@@ -257,6 +263,12 @@ struct PlanCore {
   std::uint64_t symbolic_keys = 0;
   std::uint64_t tile_count = 0;
   std::uint64_t rows_captured = 0;
+  // ---- Masked products (C = M .* (A * B)) ----------------------------------
+  bool masked = false;
+  StructureId<IT, VT> id_mask;  ///< O(1) identity of the planned mask
+  std::uint64_t mask_fp = 0;    ///< structure fingerprint of the planned mask
+  /// Per thread: the largest masked row it may hold (init_mask_sizing).
+  std::vector<Offset> mask_sizing;
 };
 
 /// Resolve the shape of a product: the flop-balanced (or equal-row)
@@ -329,6 +341,39 @@ struct WorkTotal {
   }
 };
 
+/// Accumulator sizing of a masked product: a masked row holds at most
+/// min(flop_i, nnz(M_i)) entries.  Under the static schedule a thread only
+/// runs its owned rows and sizes for them; under dynamic or stealing it may
+/// run any tile, so every thread sizes for the global maximum.
+template <IndexType IT, ValueType VT>
+void init_mask_sizing(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& mask) {
+  const parallel::RowPartition& part = core.part;
+  core.mask_sizing.assign(static_cast<std::size_t>(part.threads()), 0);
+  for (std::size_t t = 0; t < core.mask_sizing.size(); ++t) {
+    Offset& best = core.mask_sizing[t];
+    for (std::size_t i = part.offsets[t]; i < part.offsets[t + 1]; ++i) {
+      best = std::max(best, std::min(part.flop_prefix[i + 1] -
+                                         part.flop_prefix[i],
+                                     mask.rpts[i + 1] - mask.rpts[i]));
+    }
+  }
+  if (core.opts.tile_schedule != parallel::TileSchedule::kStatic &&
+      !core.mask_sizing.empty()) {
+    const Offset global =
+        *std::max_element(core.mask_sizing.begin(), core.mask_sizing.end());
+    std::fill(core.mask_sizing.begin(), core.mask_sizing.end(), global);
+  }
+}
+
+/// Run `fn` with std::true_type for a masked product and std::false_type
+/// otherwise: the row bodies are chosen once per pass, at compile time, so
+/// unmasked products keep their unfiltered inner loops.
+template <typename Fn>
+decltype(auto) with_mask(bool masked, Fn&& fn) {
+  if (masked) return fn(std::true_type{});
+  return fn(std::false_type{});
+}
+
 /// Kernel-specific plan state and THE two-phase tile loop.  The symbolic
 /// row body, the numeric row body, the staged-tile placement and the work
 /// tallies exist once, here; build() + numeric()/numeric_fused() (a
@@ -339,6 +384,13 @@ struct WorkTotal {
 /// ("parallel" memory scheme, §3.2), and the accumulator as the Policy's
 /// type — Hash, HashVector, SPA, the two-level hash map and Adaptive differ
 /// only in their accumulation data structure.
+///
+/// A masked product (kMasked; C = M .* (A * B)) runs the same loop with the
+/// mask as an operand: a row body scatters mask row i into the thread's
+/// flags, skips every product whose column carries no flag, and clears the
+/// flags.  A plan captures only in-mask products, so its skeleton and every
+/// replay touch in-mask entries only; the one-shot order needs no symbolic
+/// pass at all (once()).
 template <IndexType IT, ValueType VT, typename Policy>
 struct KernelPlan {
   using Acc = typename Policy::Acc;
@@ -379,6 +431,23 @@ struct KernelPlan {
   static Offset row_flop(const PlanCore<IT, VT>& core, std::size_t i) {
     return core.part.flop_prefix[i + 1] - core.part.flop_prefix[i];
   }
+  /// Most entries row i can hold: its flop, capped by nnz(M_i) when masked.
+  /// The policy sizes and picks its per-row regime from this.
+  template <bool kMasked>
+  static Offset row_size(const PlanCore<IT, VT>& core, const Matrix* mask,
+                         std::size_t i) {
+    if constexpr (kMasked) {
+      return std::min(row_flop(core, i), mask->rpts[i + 1] - mask->rpts[i]);
+    } else {
+      return row_flop(core, i);
+    }
+  }
+  /// Whether a row is emitted in column order: requested, or forced by the
+  /// policy — never under kMaskReduce, which keeps no entry.
+  static bool emit_sorted(const PlanCore<IT, VT>& core, bool force_sorted) {
+    return core.opts.epilogue.kind != EpilogueKind::kMaskReduce &&
+           (core.opts.sort_output == SortOutput::kYes || force_sorted);
+  }
 
   /// Re-planning on a live handle recycles the per-thread state grow-only:
   /// accumulators and capture scratch keep their (pool-backed) storage, and
@@ -390,20 +459,38 @@ struct KernelPlan {
     for (int t = 0; t < nthreads; ++t) threads.emplace_back(policy.make());
   }
 
-  /// Prepare thread `tid` for a symbolic pass, inside the owning thread:
-  /// size its accumulator, resolve batching, and size its capture buffer
-  /// (a thread never records more than 2 * its flop in slots, so small
-  /// products need far less than the full budget).  Returns the capture
-  /// buffer, or nullptr when capture is off.
+  /// Size thread `tid`'s accumulator for a pass, inside the owning thread:
+  /// for its longest row, or its longest masked row (and its mask flags).
+  template <bool kMasked>
+  void prepare_thread(const PlanCore<IT, VT>& core, Thread& tp, int tid,
+                      IT ncols_b) const {
+    if constexpr (kMasked) {
+      policy.prepare(tp.acc, core.mask_sizing[static_cast<std::size_t>(tid)],
+                     ncols_b);
+      tp.mask.begin(static_cast<std::size_t>(ncols_b));
+    } else {
+      policy.prepare(tp.acc, core.schedule.sizing_max_row_flop(tid), ncols_b);
+    }
+  }
+
+  /// Prepare thread `tid` for a symbolic pass: size its accumulator,
+  /// resolve batching, and size its capture buffer (a thread never records
+  /// more than 2 * its flop in slots, 4 * when masked, so small products
+  /// need far less than the full budget).  Returns the capture buffer, or
+  /// nullptr when capture is off.
+  template <bool kMasked>
   IT* begin_symbolic(const PlanCore<IT, VT>& core, Thread& tp, int tid,
                      IT ncols_b, SymbolicScratch& s) const {
-    policy.prepare(tp.acc, core.schedule.sizing_max_row_flop(tid), ncols_b);
-    s.batch = kPolicyBatches && thread_batches(core.probe_batching, tp.acc);
+    prepare_thread<kMasked>(core, tp, tid, ncols_b);
+    // Masked rows probe through the column filter, never the batch pipeline.
+    s.batch = !kMasked && kPolicyBatches &&
+              thread_batches(core.probe_batching, tp.acc);
     const auto flop_bound =
         static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
+    const std::size_t slots_per_flop = kMasked ? 4 : 2;
     tp.capture_entries =
         core.capture_enabled
-            ? std::min(core.budget_entries, 2 * flop_bound + 16)
+            ? std::min(core.budget_entries, slots_per_flop * flop_bound + 16)
             : 0;
     return core.capture_enabled ? tp.capture.ensure(tp.capture_entries)
                                 : nullptr;
@@ -415,25 +502,40 @@ struct KernelPlan {
   /// its gather order and writes its columns there; a counted row writes
   /// them only when `fallback_cols` (the plan skeleton needs them, a
   /// one-shot's numeric probe emits them itself).
+  template <bool kMasked>
   PlannedRow<IT> symbolic_row(const PlanCore<IT, VT>& core, Thread& tp,
                               SymbolicScratch& s, const Matrix& a,
-                              const Matrix& b, std::size_t i, IT* cap,
-                              std::size_t& cap_used, mem::Buffer<IT>& cols,
-                              std::size_t stage_off, bool fallback_cols) {
+                              const Matrix& b, const Matrix* mask,
+                              std::size_t i, IT* cap, std::size_t& cap_used,
+                              mem::Buffer<IT>& cols, std::size_t stage_off,
+                              bool fallback_cols) {
     Acc& acc = tp.acc;
-    const Offset flop = row_flop(core, i);
-    const bool force_sorted = policy.begin_row(acc, flop);
+    const auto flop = static_cast<std::size_t>(row_flop(core, i));
+    const Offset size = row_size<kMasked>(core, mask, i);
+    const bool force_sorted = policy.begin_row(acc, size);
     PlannedRow<IT> row;
-    row.sorted = core.opts.sort_output == SortOutput::kYes || force_sorted;
+    row.sorted = emit_sorted(core, force_sorted);
     row.cap_off = cap_used;
-    row.captured = cap != nullptr &&
-                   cap_used + 2 * static_cast<std::size_t>(flop) <=
-                       tp.capture_entries;
+    if constexpr (kMasked) {
+      // [kept, (position, slot) x kept] plus the gather list; a row without
+      // products has nothing to replay, which keeps a thread's streams
+      // under 4 * its flop.
+      row.captured = cap != nullptr && flop > 0 &&
+                     cap_used + 1 + 2 * flop +
+                             static_cast<std::size_t>(size) <=
+                         tp.capture_entries;
+      tp.mask.scatter(*mask, i, 1);
+    } else {
+      row.captured =
+          cap != nullptr && cap_used + 2 * flop <= tp.capture_entries;
+    }
     if (row.captured) {
       std::size_t ns;
-      if constexpr (kPolicyBatches) {
-        ns = s.batch ? capture_row_batch(acc, a, b, i, flop, cap + cap_used,
-                                         s.keys)
+      if constexpr (kMasked) {
+        ns = capture_row_masked(acc, a, b, i, tp.mask.view(), cap + cap_used);
+      } else if constexpr (kPolicyBatches) {
+        ns = s.batch ? capture_row_batch(acc, a, b, i, row_flop(core, i),
+                                         cap + cap_used, s.keys)
                      : capture_row(acc, a, b, i, cap + cap_used);
       } else {
         ns = capture_row(acc, a, b, i, cap + cap_used);
@@ -447,9 +549,12 @@ struct KernelPlan {
                             cols.data() + stage_off, s.sort_buf);
       cap_used += ns + nnz;
     } else {
-      if constexpr (kPolicyBatches) {
+      if constexpr (kMasked) {
+        count_row(acc, a, b, i, tp.mask.view());
+      } else if constexpr (kPolicyBatches) {
         if (s.batch) {
-          count_row_batch(acc, a, b, i, flop, s.keys, s.count_slots);
+          count_row_batch(acc, a, b, i, row_flop(core, i), s.keys,
+                          s.count_slots);
         } else {
           count_row(acc, a, b, i);
         }
@@ -466,49 +571,77 @@ struct KernelPlan {
       }
     }
     acc.reset();
+    if constexpr (kMasked) tp.mask.scatter(*mask, i, 0);
     return row;
   }
 
   /// The numeric row body: a captured row replays its slot stream and
   /// gathers its values to out_vals (its columns were staged by the
   /// symbolic step); a counted row re-probes and extracts columns and
-  /// values to (out_cols, out_vals).
-  template <typename SR>
-  void numeric_row(const PlanCore<IT, VT>& core, Acc& acc, const Matrix& a,
-                   const Matrix& b, std::size_t i, const PlannedRow<IT>& row,
-                   const IT* cap, IT* out_cols, VT* out_vals) {
-    policy.begin_row(acc, row_flop(core, i));
+  /// values to (out_cols, out_vals).  Returns the row's entry count.
+  template <typename SR, bool kMasked>
+  std::size_t numeric_row(const PlanCore<IT, VT>& core, Thread& tp,
+                          const Matrix& a, const Matrix& b, const Matrix* mask,
+                          std::size_t i, const PlannedRow<IT>& row,
+                          const IT* cap, IT* out_cols, VT* out_vals) {
+    Acc& acc = tp.acc;
+    policy.begin_row(acc, row_size<kMasked>(core, mask, i));
     if (row.captured) {
       const IT* slot_stream = cap + row.cap_off;
-      const std::size_t ns =
-          replay_row<SR>(acc, a, b, i, slot_stream, core.replay_kind);
+      std::size_t ns;
+      if constexpr (kMasked) {
+        ns = replay_row_masked<SR>(acc, a, b, i, slot_stream);
+      } else {
+        ns = replay_row<SR>(acc, a, b, i, slot_stream, core.replay_kind);
+      }
       gather_values(static_cast<const VT*>(acc.slot_values()),
                     slot_stream + ns, static_cast<std::size_t>(row.nnz),
                     out_vals);
+      return static_cast<std::size_t>(row.nnz);
+    }
+    if constexpr (kMasked) {
+      tp.mask.scatter(*mask, i, 1);
+      probe_row<SR>(acc, a, b, i, tp.mask.view());
+      tp.mask.scatter(*mask, i, 0);
     } else {
       probe_row<SR>(acc, a, b, i);
-      if (row.sorted) {
-        acc.extract_sorted(out_cols, out_vals);
-      } else {
-        acc.extract_unsorted(out_cols, out_vals);
-      }
-      acc.reset();
     }
+    const std::size_t nnz = acc.count();
+    if (row.sorted) {
+      acc.extract_sorted(out_cols, out_vals);
+    } else {
+      acc.extract_unsorted(out_cols, out_vals);
+    }
+    acc.reset();
+    return nnz;
   }
 
   /// The fused epilogue over one computed row, timed into the thread's
   /// epilogue state.  Returns the kept count.
-  static std::size_t epilogue_row(const EpilogueSpec& spec,
-                                  const EpilogueContext<IT, VT>& ectx,
-                                  EpilogueState& st, std::size_t i,
+  static std::size_t epilogue_row(const EpilogueSpec& spec, EpilogueState& st,
                                   const IT* cols, const VT* vals,
                                   std::size_t nnz, IT* cols_dst,
                                   VT* vals_dst) {
     const std::uint64_t t0 = monotonic_ns();
-    const std::size_t kept = apply_row_epilogue(spec, ectx, st, i, cols, vals,
-                                                nnz, cols_dst, vals_dst);
+    const std::size_t kept =
+        apply_row_epilogue(spec, st, cols, vals, nnz, cols_dst, vals_dst);
     st.seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
     return kept;
+  }
+
+  /// Throw the typed error of a masked pass whose flag scatter met a mask
+  /// column outside [0, ncols) (MaskFlags), after its parallel region.
+  /// Clears the bits, so recycled thread state stays usable.
+  void check_mask_columns() {
+    bool bad = false;
+    for (Thread& tp : threads) {
+      bad = bad || tp.mask.out_of_range;
+      tp.mask.out_of_range = false;
+    }
+    if (bad) {
+      throw SpGemmError(ErrorCode::kBadInput,
+                        "masked product: mask column index out of range");
+    }
   }
 
   /// The staged-tile placement: copy every thread's staged tiles to their
@@ -569,7 +702,9 @@ struct KernelPlan {
   /// are handed out by the persisted ExecutionSchedule; the assignment this
   /// pass settles on (including any steals) is frozen into the per-thread
   /// tile lists, which every execute replays with perfect affinity.
-  void build(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b) {
+  template <bool kMasked>
+  void build(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
+             const Matrix* mask) {
     const auto nrows = static_cast<std::size_t>(a.nrows);
     ensure_threads(core.nthreads);
     core.rpts.resize(nrows + 1);
@@ -584,7 +719,7 @@ struct KernelPlan {
       if (tid < core.part.threads()) {
         Thread& tp = threads[static_cast<std::size_t>(tid)];
         SymbolicScratch s;
-        IT* cap = begin_symbolic(core, tp, tid, b.ncols, s);
+        IT* cap = begin_symbolic<kMasked>(core, tp, tid, b.ncols, s);
         tp.tiles.clear();
         tp.rows.clear();
         tp.staged_cols.clear();
@@ -598,9 +733,9 @@ struct KernelPlan {
                      bool /*stolen*/) {
               tp.tiles.push_back({tile.row_begin, tile.row_end, stage_off});
               for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
-                const PlannedRow<IT> row =
-                    symbolic_row(core, tp, s, a, b, i, cap, cap_used,
-                                 tp.staged_cols, stage_off, true);
+                const PlannedRow<IT> row = symbolic_row<kMasked>(
+                    core, tp, s, a, b, mask, i, cap, cap_used,
+                    tp.staged_cols, stage_off, true);
                 tp.rows.push_back(row);
                 core.rpts[i] = static_cast<Offset>(row.nnz);
                 stage_off += static_cast<std::size_t>(row.nnz);
@@ -614,6 +749,7 @@ struct KernelPlan {
       }
       core.schedule.worker_done();
     }
+    if constexpr (kMasked) check_mask_columns();
 
     core.rpts[nrows] = 0;
     parallel::exclusive_scan_inplace(core.rpts.data(), nrows + 1);
@@ -626,9 +762,9 @@ struct KernelPlan {
 
   /// Execute pass, numeric only: replay captured rows, re-probe fallback
   /// rows, values written directly at their final offsets.
-  template <typename SR>
+  template <typename SR, bool kMasked>
   Work numeric(const PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
-               Matrix& c) {
+               const Matrix* mask, Matrix& c) {
     WorkTotal total;
     core.schedule.reset_occupancy();
 #pragma omp parallel num_threads(core.nthreads)
@@ -641,15 +777,16 @@ struct KernelPlan {
         for (const PlannedTile& tile : tp.tiles) {
           for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
             const auto off = static_cast<std::size_t>(core.rpts[i]);
-            numeric_row<SR>(core, tp.acc, a, b, i, tp.rows[cursor++],
-                            tp.capture.data(), c.cols.data() + off,
-                            c.vals.data() + off);
+            numeric_row<SR, kMasked>(core, tp, a, b, mask, i,
+                                     tp.rows[cursor++], tp.capture.data(),
+                                     c.cols.data() + off, c.vals.data() + off);
           }
         }
         total.add(since(tp.acc, mark));
       }
       core.schedule.worker_done();
     }
+    if constexpr (kMasked) check_mask_columns();
     return total.load();
   }
 
@@ -659,10 +796,9 @@ struct KernelPlan {
   /// / staged_cols) stays untouched plan state; the output CSR is sized to
   /// the kept nnz only — the intermediate product is never materialized.
   /// `c.rpts` doubles as the kept-count scratch before its exclusive scan.
-  template <typename SR>
+  template <typename SR, bool kMasked>
   Work numeric_fused(const PlanCore<IT, VT>& core, const Matrix& a,
-                     const Matrix& b, const EpilogueContext<IT, VT>& ectx,
-                     Matrix& c) {
+                     const Matrix& b, const Matrix* mask, Matrix& c) {
     const EpilogueSpec& spec = core.opts.epilogue;
     const auto nrows = static_cast<std::size_t>(core.nrows);
     c.rpts.resize(nrows + 1);
@@ -690,14 +826,15 @@ struct KernelPlan {
             if (!row.captured && tp.row_cols.size() < nnz) {
               tp.row_cols.resize(nnz);
             }
-            numeric_row<SR>(core, tp.acc, a, b, i, row, tp.capture.data(),
-                            tp.row_cols.data(), tp.row_vals.data());
+            numeric_row<SR, kMasked>(core, tp, a, b, mask, i, row,
+                                     tp.capture.data(), tp.row_cols.data(),
+                                     tp.row_vals.data());
             const IT* cols = row.captured ? tp.staged_cols.data() + stage_off
                                           : tp.row_cols.data();
             tp.kept_cols.resize(kept_sz + nnz);
             tp.kept_vals.resize(kept_sz + nnz);
             const std::size_t kept = epilogue_row(
-                spec, ectx, tp.epi, i, cols, tp.row_vals.data(), nnz,
+                spec, tp.epi, cols, tp.row_vals.data(), nnz,
                 tp.kept_cols.data() + kept_sz, tp.kept_vals.data() + kept_sz);
             tp.kept_cols.resize(kept_sz + kept);
             tp.kept_vals.resize(kept_sz + kept);
@@ -710,6 +847,7 @@ struct KernelPlan {
       }
       core.schedule.worker_done();
     }
+    if constexpr (kMasked) check_mask_columns();
 
     c.rpts[nrows] = 0;
     parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
@@ -723,13 +861,14 @@ struct KernelPlan {
   /// counted, so values are staged next to the staged columns
   /// (kept_cols/kept_vals); a fused epilogue compacts each finished row
   /// forward, so only kept entries outlive their tile.  The capture buffer
-  /// is reused per tile and nothing is kept for a later execute.  c.rpts
+  /// is reused per tile and nothing is kept for a later execute.  A masked
+  /// product runs no symbolic pass: each row probes once through the mask
+  /// filter into staging sized by its bound min(flop_i, nnz(M_i)).  c.rpts
   /// (sized nrows + 1) receives the scanned row pointers; core gets the
   /// symbolic tallies; the numeric tally is returned.
-  template <typename SR>
+  template <typename SR, bool kMasked>
   Work once(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
-            const EpilogueContext<IT, VT>* ectx, Matrix& c,
-            OnceTimes& times) {
+            const Matrix* mask, bool fused, Matrix& c, OnceTimes& times) {
     const auto nrows = static_cast<std::size_t>(a.nrows);
     const EpilogueSpec& spec = core.opts.epilogue;
     const bool static_tiles =
@@ -749,17 +888,22 @@ struct KernelPlan {
         Thread& tp = threads[utid];
         Acc& acc = tp.acc;
         SymbolicScratch s;
-        IT* cap = begin_symbolic(core, tp, tid, b.ncols, s);
-        if (ectx != nullptr) {
-          tp.epi.begin_pass(spec, static_cast<std::size_t>(b.ncols));
+        IT* cap = nullptr;
+        if constexpr (kMasked) {
+          prepare_thread<true>(core, tp, tid, b.ncols);
+        } else {
+          cap = begin_symbolic<false>(core, tp, tid, b.ncols, s);
+          if (static_tiles) {
+            // Reserve at an optimistic compression ratio to limit regrowth.
+            const auto thread_flop = static_cast<std::size_t>(
+                core.part.flop_prefix[core.part.offsets[utid + 1]] -
+                core.part.flop_prefix[core.part.offsets[utid]]);
+            tp.kept_cols.reserve(thread_flop / 4 + 64);
+            tp.kept_vals.reserve(thread_flop / 4 + 64);
+          }
         }
-        if (static_tiles) {
-          // Reserve at an optimistic compression ratio to limit regrowth.
-          const auto thread_flop = static_cast<std::size_t>(
-              core.part.flop_prefix[core.part.offsets[utid + 1]] -
-              core.part.flop_prefix[core.part.offsets[utid]]);
-          tp.kept_cols.reserve(thread_flop / 4 + 64);
-          tp.kept_vals.reserve(thread_flop / 4 + 64);
+        if (fused) {
+          tp.epi.begin_pass(spec, static_cast<std::size_t>(b.ncols));
         }
         Work sym;
         Work num;
@@ -775,49 +919,94 @@ struct KernelPlan {
               const std::size_t r1 = tile.row_end;
               const std::size_t stage_begin = tp.kept_cols.size();
               tp.kept_tiles.push_back({r0, r1, stage_begin});
-              tp.rows.clear();
 
-              timer.reset();
-              std::size_t cap_used = 0;
-              std::size_t stage_off = stage_begin;
-              for (std::size_t i = r0; i < r1; ++i) {
-                const PlannedRow<IT> row =
-                    symbolic_row(core, tp, s, a, b, i, cap, cap_used,
-                                 tp.kept_cols, stage_off, false);
-                tp.rows.push_back(row);
-                c.rpts[i] = static_cast<Offset>(row.nnz);
-                stage_off += static_cast<std::size_t>(row.nnz);
-                captured += row.captured ? 1 : 0;
-              }
-              tt.symbolic_s += timer.seconds();
-              sym += since(acc, mark);
-
-              timer.reset();
-              tp.kept_vals.resize(tp.kept_cols.size());
-              std::size_t compact = stage_begin;
-              stage_off = stage_begin;
-              for (std::size_t i = r0; i < r1; ++i) {
-                const PlannedRow<IT>& row = tp.rows[i - r0];
-                const auto nnz = static_cast<std::size_t>(row.nnz);
-                IT* cols = tp.kept_cols.data() + stage_off;
-                VT* vals = tp.kept_vals.data() + stage_off;
-                numeric_row<SR>(core, acc, a, b, i, row, cap, cols, vals);
-                if (ectx != nullptr) {
-                  const std::size_t kept = epilogue_row(
-                      spec, *ectx, tp.epi, i, cols, vals, nnz,
-                      tp.kept_cols.data() + compact,
-                      tp.kept_vals.data() + compact);
-                  c.rpts[i] = static_cast<Offset>(kept);
-                  compact += kept;
+              if constexpr (kMasked) {
+                timer.reset();
+                for (std::size_t i = r0; i < r1; ++i) {
+                  const auto bound =
+                      static_cast<std::size_t>(row_size<true>(core, mask, i));
+                  PlannedRow<IT> row;  // not captured: numeric_row probes
+                  row.sorted = emit_sorted(
+                      core, policy.begin_row(acc, static_cast<Offset>(bound)));
+                  const std::size_t at = tp.kept_cols.size();
+                  tp.kept_cols.resize(at + bound);
+                  tp.kept_vals.resize(at + bound);
+                  const std::size_t nnz = numeric_row<SR, true>(
+                      core, tp, a, b, mask, i, row, nullptr,
+                      tp.kept_cols.data() + at, tp.kept_vals.data() + at);
+                  tp.kept_cols.resize(at + nnz);
+                  tp.kept_vals.resize(at + nnz);
+                  c.rpts[i] = static_cast<Offset>(nnz);
                 }
-                stage_off += nnz;
+                if (fused) {
+                  // One timed sweep per tile: a masked row's epilogue is
+                  // too short to time row by row.
+                  const std::uint64_t t0 = monotonic_ns();
+                  std::size_t compact = stage_begin;
+                  std::size_t off = stage_begin;
+                  for (std::size_t i = r0; i < r1; ++i) {
+                    const auto nnz = static_cast<std::size_t>(c.rpts[i]);
+                    const std::size_t kept = apply_row_epilogue(
+                        spec, tp.epi, tp.kept_cols.data() + off,
+                        tp.kept_vals.data() + off, nnz,
+                        tp.kept_cols.data() + compact,
+                        tp.kept_vals.data() + compact);
+                    c.rpts[i] = static_cast<Offset>(kept);
+                    compact += kept;
+                    off += nnz;
+                  }
+                  tp.kept_cols.resize(compact);
+                  tp.kept_vals.resize(compact);
+                  tp.epi.seconds +=
+                      static_cast<double>(monotonic_ns() - t0) * 1e-9;
+                }
+                tt.numeric_s += timer.seconds();
+                num += since(acc, mark);
+              } else {
+                tp.rows.clear();
+                timer.reset();
+                std::size_t cap_used = 0;
+                std::size_t stage_off = stage_begin;
+                for (std::size_t i = r0; i < r1; ++i) {
+                  const PlannedRow<IT> row = symbolic_row<false>(
+                      core, tp, s, a, b, nullptr, i, cap, cap_used,
+                      tp.kept_cols, stage_off, false);
+                  tp.rows.push_back(row);
+                  c.rpts[i] = static_cast<Offset>(row.nnz);
+                  stage_off += static_cast<std::size_t>(row.nnz);
+                  captured += row.captured ? 1 : 0;
+                }
+                tt.symbolic_s += timer.seconds();
+                sym += since(acc, mark);
+
+                timer.reset();
+                tp.kept_vals.resize(tp.kept_cols.size());
+                std::size_t compact = stage_begin;
+                stage_off = stage_begin;
+                for (std::size_t i = r0; i < r1; ++i) {
+                  const PlannedRow<IT>& row = tp.rows[i - r0];
+                  const auto nnz = static_cast<std::size_t>(row.nnz);
+                  IT* cols = tp.kept_cols.data() + stage_off;
+                  VT* vals = tp.kept_vals.data() + stage_off;
+                  numeric_row<SR, false>(core, tp, a, b, nullptr, i, row, cap,
+                                         cols, vals);
+                  if (fused) {
+                    const std::size_t kept = epilogue_row(
+                        spec, tp.epi, cols, vals, nnz,
+                        tp.kept_cols.data() + compact,
+                        tp.kept_vals.data() + compact);
+                    c.rpts[i] = static_cast<Offset>(kept);
+                    compact += kept;
+                  }
+                  stage_off += nnz;
+                }
+                if (fused) {
+                  tp.kept_cols.resize(compact);
+                  tp.kept_vals.resize(compact);
+                }
+                tt.numeric_s += timer.seconds();
+                num += since(acc, mark);
               }
-              if (ectx != nullptr) {
-                tp.kept_cols.resize(compact);
-                tp.kept_vals.resize(compact);
-              }
-              tt.numeric_s += timer.seconds();
-              num += since(acc, mark);
             });
 
         sym_total.add(sym);
@@ -826,6 +1015,7 @@ struct KernelPlan {
         total_captured.fetch_add(captured, std::memory_order_relaxed);
       }
     }
+    if constexpr (kMasked) check_mask_columns();
 
     Timer place_timer;
     c.rpts[nrows] = 0;
@@ -857,9 +1047,10 @@ struct KernelPlan {
 /// opts.reuse_budget_bytes says otherwise) and run KernelPlan::once().
 /// Policy: any accumulator policy (core/spgemm_policies.hpp shape: make /
 /// prepare / begin_row).  SR: the semiring; the symbolic phase is
-/// algebra-independent.  `epi` carries the mask/result of a fused
-/// opts.epilogue.  No pair fingerprint is taken and no plan fault point
-/// fires, because nothing is retained; plan_ms/execute_ms stay 0.
+/// algebra-independent.  `epi` carries the mask (a masked product, tested
+/// at probe time) and the result sink of a fused opts.epilogue.  No pair
+/// fingerprint is taken and no plan fault point fires, because nothing is
+/// retained; plan_ms/execute_ms stay 0.
 template <IndexType IT, ValueType VT, typename Policy,
           typename SR = PlusTimes>
   requires SemiringFor<SR, VT>
@@ -876,14 +1067,18 @@ CsrMatrix<IT, VT> run_once(const CsrMatrix<IT, VT>& a,
   const bool fused = epilogue_fuses_rows(opts.epilogue);
   const EpilogueContext<IT, VT> no_epi{};
   const EpilogueContext<IT, VT>& ectx = epi != nullptr ? *epi : no_epi;
-  if (fused) validate_epilogue(opts.epilogue, ectx, a, b);
+  validate_epilogue(opts.epilogue, ectx, a, b);
+  const CsrMatrix<IT, VT>* mask = ectx.mask;
+  if (mask != nullptr) init_mask_sizing(core, *mask);
   const double setup_s = timer.seconds();
 
   CsrMatrix<IT, VT> c(a.nrows, b.ncols);
   KernelPlan<IT, VT, Policy> kernel(std::move(policy));
   typename KernelPlan<IT, VT, Policy>::OnceTimes times;
-  const Work num = kernel.template once<SR>(core, a, b,
-                                            fused ? &ectx : nullptr, c, times);
+  const Work num = with_mask(mask != nullptr, [&](auto masked) {
+    return kernel.template once<SR, decltype(masked)::value>(
+        core, a, b, mask, fused, c, times);
+  });
   c.sortedness = opts.sort_output == SortOutput::kYes ? Sortedness::kSorted
                                                       : Sortedness::kUnsorted;
 
@@ -963,6 +1158,9 @@ class SpGemmHandle {
                         "SpGemmHandle::plan: kernel has no symbolic phase to "
                         "plan (two-phase kernels only)");
     }
+    detail::validate_epilogue(
+        opts.epilogue,
+        detail::EpilogueContext<IT, VT>{epilogue_mask_, nullptr}, a, b);
 
     parallel::ScopedNumThreads scoped(opts.threads);
     Timer timer;
@@ -981,6 +1179,12 @@ class SpGemmHandle {
                                      : pair_fingerprint(a, b);
     core_.id_a = detail::StructureId<IT, VT>::of(a);
     core_.id_b = detail::StructureId<IT, VT>::of(b);
+    core_.masked = epilogue_mask_ != nullptr;
+    if (core_.masked) {
+      core_.id_mask = detail::StructureId<IT, VT>::of(*epilogue_mask_);
+      core_.mask_fp = structure_fingerprint(*epilogue_mask_);
+      detail::init_mask_sizing(core_, *epilogue_mask_);
+    }
     stats_.setup_ms = timer.millis();
 
     timer.reset();
@@ -992,7 +1196,10 @@ class SpGemmHandle {
           [&](auto& kernel) {
             if constexpr (!std::is_same_v<std::decay_t<decltype(kernel)>,
                                           std::monostate>) {
-              kernel.build(core_, a, b);
+              detail::with_mask(core_.masked, [&](auto masked) {
+                kernel.template build<decltype(masked)::value>(
+                    core_, a, b, epilogue_mask_);
+              });
             }
           },
           kernel_);
@@ -1021,7 +1228,8 @@ class SpGemmHandle {
   /// entirely.  Returns true when a new plan was built.
   bool ensure_planned(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                       SpGemmOptions opts = {}, SpGemmStats* stats = nullptr) {
-    if (opts == requested_opts_ && structure_matches(a, b)) {
+    if (opts == requested_opts_ && structure_matches(a, b) &&
+        mask_matches()) {
       core_.id_a = detail::StructureId<IT, VT>::of(a);
       core_.id_b = detail::StructureId<IT, VT>::of(b);
       if (stats != nullptr) *stats = stats_;
@@ -1048,7 +1256,7 @@ class SpGemmHandle {
     const std::uint64_t pair = pair_structure_hash(fp_a, fp_b);
     if (opts == requested_opts_ && planned_ && a.nrows == core_.nrows &&
         b.ncols == core_.ncols && a.ncols == b.nrows &&
-        pair == core_.fingerprint) {
+        pair == core_.fingerprint && mask_matches()) {
       core_.id_a = detail::StructureId<IT, VT>::of(a);
       core_.id_b = detail::StructureId<IT, VT>::of(b);
       if (stats != nullptr) *stats = stats_;
@@ -1123,6 +1331,7 @@ class SpGemmHandle {
                        tp.kept_tiles.capacity() * sizeof(detail::PlannedTile);
               bytes += tp.row_cols.capacity() * sizeof(IT) +
                        tp.row_vals.capacity() * sizeof(VT);
+              bytes += tp.mask.flags.capacity();
             }
           }
         },
@@ -1166,10 +1375,15 @@ class SpGemmHandle {
 
   // ---- Fused epilogues ----------------------------------------------------
 
-  /// Mask operand for kMaskReduce executes (the spec itself rides in
-  /// SpGemmOptions::epilogue).  The pointed-to matrix must outlive every
-  /// execute() run while attached and must match the mask_fp the spec was
-  /// keyed with; detach with nullptr.
+  /// Mask operand.  Attach it BEFORE plan(): a plan built with a mask
+  /// attached is a masked plan, C = M .* (A * B) with the mask tested at
+  /// probe time (kMaskReduce requires one; the spec itself rides in
+  /// SpGemmOptions::epilogue).  Every execute of a masked plan needs a mask
+  /// of the planned structure attached — an O(1) identity check with a
+  /// fingerprint fallback, SpGemmError(kBadInput) on drift — and an
+  /// unmasked plan needs none.  The pointed-to matrix must outlive every
+  /// plan()/execute() run while attached and must match the mask_fp the
+  /// spec was keyed with; detach with nullptr.
   void set_epilogue_mask(const CsrMatrix<IT, VT>* mask) {
     epilogue_mask_ = mask;
   }
@@ -1258,6 +1472,23 @@ class SpGemmHandle {
     core_.id_b = id_b;
   }
 
+  /// Whether the attached mask is the plan's: none for an unmasked plan; for
+  /// a masked one the same object (O(1) identity, re-anchored like
+  /// check_structure) or one with the planned structure fingerprint.
+  bool mask_matches() {
+    if ((epilogue_mask_ != nullptr) != core_.masked) return false;
+    if (!core_.masked) return true;
+    const auto id = detail::StructureId<IT, VT>::of(*epilogue_mask_);
+    if (id == core_.id_mask) return true;
+    if (epilogue_mask_->nrows != core_.nrows ||
+        epilogue_mask_->ncols != core_.ncols ||
+        structure_fingerprint(*epilogue_mask_) != core_.mask_fp) {
+      return false;
+    }
+    core_.id_mask = id;
+    return true;
+  }
+
   template <typename SR>
   void execute_impl(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                     CsrMatrix<IT, VT>& c, bool fill_skeleton, SR /*sr*/,
@@ -1279,7 +1510,11 @@ class SpGemmHandle {
     const bool fused = detail::epilogue_fuses_rows(core_.opts.epilogue);
     const detail::EpilogueContext<IT, VT> ectx{epilogue_mask_,
                                                &epilogue_result_};
-    if (fused) detail::validate_epilogue(core_.opts.epilogue, ectx, a, b);
+    detail::validate_epilogue(core_.opts.epilogue, ectx, a, b);
+    if (!mask_matches()) {
+      throw SpGemmError(ErrorCode::kBadInput,
+                        "SpGemmHandle: mask structure differs from the plan");
+    }
 
     c.nrows = core_.nrows;
     c.ncols = core_.ncols;
@@ -1306,12 +1541,17 @@ class SpGemmHandle {
           [&](auto& kernel) {
             if constexpr (!std::is_same_v<std::decay_t<decltype(kernel)>,
                                           std::monostate>) {
-              if (fused) {
-                work = kernel.template numeric_fused<SR>(core_, a, b, ectx, c);
-                kernel.fold_epilogue(core_, &epilogue_result_, stats_);
-              } else {
-                work = kernel.template numeric<SR>(core_, a, b, c);
-              }
+              detail::with_mask(core_.masked, [&](auto masked) {
+                constexpr bool kMasked = decltype(masked)::value;
+                if (fused) {
+                  work = kernel.template numeric_fused<SR, kMasked>(
+                      core_, a, b, epilogue_mask_, c);
+                  kernel.fold_epilogue(core_, &epilogue_result_, stats_);
+                } else {
+                  work = kernel.template numeric<SR, kMasked>(
+                      core_, a, b, epilogue_mask_, c);
+                }
+              });
             }
           },
           kernel_);

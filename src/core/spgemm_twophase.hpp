@@ -8,7 +8,9 @@
 // loop is made of:
 //
 //   * the ROW-LEVEL capture/replay primitives (capture_row, count_row,
-//     record_gather, replay_row, gather_values, probe_row);
+//     record_gather, replay_row, gather_values, probe_row) and their masked
+//     forms (a column filter on count_row/probe_row, capture_row_masked,
+//     replay_row_masked, MaskFlags);
 //   * the fused per-row epilogues (prune/scale, mask-reduce);
 //   * the tiling/capture-budget resolution that cuts the ExecutionSchedule.
 //
@@ -35,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -75,17 +78,68 @@ inline std::size_t capture_row(Acc& acc, const CsrMatrix<IT, VT>& a,
   return ns;
 }
 
-/// Classic symbolic pass over row i (count only, no capture).
-template <IndexType IT, ValueType VT, typename Acc>
+/// Column filter of an unmasked product: keeps every scalar product, and
+/// compiles away.
+struct AllColumns {
+  template <typename IT>
+  constexpr bool operator()(IT /*col*/) const {
+    return true;
+  }
+};
+
+/// Column filter of a masked product: the dense flags of the current mask
+/// row (MaskFlags below).
+struct InMask {
+  const std::uint8_t* flags = nullptr;
+  template <typename IT>
+  bool operator()(IT col) const {
+    return flags[static_cast<std::size_t>(col)] != 0;
+  }
+};
+
+/// Classic symbolic pass over row i (count only, no capture); `keep`
+/// filters the products by output column.
+template <IndexType IT, ValueType VT, typename Acc, typename Keep = AllColumns>
 inline void count_row(Acc& acc, const CsrMatrix<IT, VT>& a,
-                      const CsrMatrix<IT, VT>& b, std::size_t i) {
+                      const CsrMatrix<IT, VT>& b, std::size_t i,
+                      Keep keep = {}) {
   for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
     const auto k =
         static_cast<std::size_t>(a.cols[static_cast<std::size_t>(j)]);
     for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-      acc.insert(b.cols[static_cast<std::size_t>(l)]);
+      const IT col = b.cols[static_cast<std::size_t>(l)];
+      if (keep(col)) acc.insert(col);
     }
   }
+}
+
+/// Masked capture pass over row i: only products whose column carries a
+/// flag reach the accumulator, and the stream records just those, as
+/// [kept, (position, tagged slot) x kept], where position is the product's
+/// index in the row's full traversal order.  Returns the stream length
+/// (1 + 2 * kept <= 1 + 2 * row flop).
+template <IndexType IT, ValueType VT, typename Acc>
+inline std::size_t capture_row_masked(Acc& acc, const CsrMatrix<IT, VT>& a,
+                                      const CsrMatrix<IT, VT>& b,
+                                      std::size_t i, InMask keep,
+                                      IT* slot_stream) {
+  IT* pairs = slot_stream + 1;
+  std::size_t kept = 0;
+  IT pos = 0;
+  for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+    const auto k =
+        static_cast<std::size_t>(a.cols[static_cast<std::size_t>(j)]);
+    for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l, ++pos) {
+      const IT col = b.cols[static_cast<std::size_t>(l)];
+      if (keep(col)) {
+        pairs[2 * kept] = pos;
+        pairs[2 * kept + 1] = acc.insert_tagged(col);
+        ++kept;
+      }
+    }
+  }
+  slot_stream[0] = static_cast<IT>(kept);
+  return 1 + 2 * kept;
 }
 
 /// Accumulators that implement the batch-capture contract (accumulator/
@@ -316,21 +370,100 @@ inline void gather_values(const VT* slot_vals, const IT* gather,
   }
 }
 
-/// Classic re-probing numeric pass over row i (capture fallback).
+/// Numeric replay of a masked capture (capture_row_masked): walks row i's
+/// stanzas and multiplies only the recorded products, folding them in
+/// traversal order exactly like the masked re-probe.  Returns the stream
+/// length consumed.
 template <typename SR, IndexType IT, ValueType VT, typename Acc>
+inline std::size_t replay_row_masked(Acc& acc, const CsrMatrix<IT, VT>& a,
+                                     const CsrMatrix<IT, VT>& b,
+                                     std::size_t i, const IT* slot_stream) {
+  VT* slot_vals = acc.slot_values();
+  const auto kept = static_cast<std::size_t>(slot_stream[0]);
+  const IT* pairs = slot_stream + 1;
+  std::size_t t = 0;
+  Offset base = 0;  // traversal position of the stanza's first product
+  for (Offset j = a.rpts[i]; j < a.rpts[i + 1] && t < kept; ++j) {
+    const auto k =
+        static_cast<std::size_t>(a.cols[static_cast<std::size_t>(j)]);
+    const VT av = a.vals[static_cast<std::size_t>(j)];
+    const Offset off = b.rpts[k];
+    const Offset end = base + (b.rpts[k + 1] - off);
+    for (; t < kept && static_cast<Offset>(pairs[2 * t]) < end; ++t) {
+      const VT v = SR::mul(
+          av, b.vals[static_cast<std::size_t>(
+                  off + static_cast<Offset>(pairs[2 * t]) - base)]);
+      const IT e = pairs[2 * t + 1];
+      if (e >= 0) {
+        slot_vals[static_cast<std::size_t>(e)] = v;
+      } else {
+        SR::add_into(slot_vals[static_cast<std::size_t>(~e)], v);
+      }
+    }
+    base = end;
+  }
+  return 1 + 2 * kept;
+}
+
+/// Classic re-probing numeric pass over row i (capture fallback); `keep`
+/// filters the products by output column.
+template <typename SR, IndexType IT, ValueType VT, typename Acc,
+          typename Keep = AllColumns>
 inline void probe_row(Acc& acc, const CsrMatrix<IT, VT>& a,
-                      const CsrMatrix<IT, VT>& b, std::size_t i) {
+                      const CsrMatrix<IT, VT>& b, std::size_t i,
+                      Keep keep = {}) {
   for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
     const auto k =
         static_cast<std::size_t>(a.cols[static_cast<std::size_t>(j)]);
     const VT av = a.vals[static_cast<std::size_t>(j)];
     for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-      acc.accumulate(b.cols[static_cast<std::size_t>(l)],
-                     SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
-                     [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
+      const IT col = b.cols[static_cast<std::size_t>(l)];
+      if (keep(col)) {
+        acc.accumulate(col, SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
+                       [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
+      }
     }
   }
 }
+
+// ---- Masks --------------------------------------------------------------
+//
+// A masked product C = M .* (A * B) tests the mask inside the row bodies:
+// the thread scatters mask row i into dense flags, every scalar product
+// whose column carries no flag is skipped before it reaches the
+// accumulator, and the flags are cleared again.  A row therefore holds at
+// most min(flop_i, nnz(M_i)) entries, and the full A*B row never exists.
+
+/// Thread-private dense flags of the current mask row, plus the bounds
+/// check of its column indices: the scatter reads every mask column anyway,
+/// so an out-of-range one is skipped and remembered here, and the pass
+/// throws after its parallel region (KernelPlan::check_mask_columns).
+template <IndexType IT>
+struct MaskFlags {
+  std::vector<std::uint8_t> flags;  ///< all zero between rows
+  std::size_t ncols = 0;
+  bool out_of_range = false;
+
+  /// Size the flags for a product into `n` columns (grow-only).
+  void begin(std::size_t n) {
+    ncols = n;
+    if (flags.size() < n) flags.assign(n, 0);
+  }
+  template <ValueType VT>
+  void scatter(const CsrMatrix<IT, VT>& mask, std::size_t i,
+               std::uint8_t value) {
+    for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
+      const auto col = static_cast<std::size_t>(static_cast<
+          std::make_unsigned_t<IT>>(mask.cols[static_cast<std::size_t>(j)]));
+      if (col < ncols) {
+        flags[col] = value;
+      } else {
+        out_of_range = true;
+      }
+    }
+  }
+  [[nodiscard]] InMask view() const { return InMask{flags.data()}; }
+};
 
 // ---- Fused row epilogues ----------------------------------------------------
 //
@@ -341,20 +474,18 @@ inline void probe_row(Acc& acc, const CsrMatrix<IT, VT>& a,
 // allocation vanishes from peak RSS.  The spec (EpilogueSpec) rides in
 // SpGemmOptions; the typed operands ride here.
 
-/// Typed companions of the untemplated EpilogueSpec: the mask operand of
-/// kMaskReduce and the caller's result sink.
+/// Typed companions of the untemplated EpilogueSpec: the mask operand and
+/// the caller's result sink.  A mask restricts the product to its structure
+/// (C = M .* (A * B), tested at probe time); kMaskReduce requires one.
 template <IndexType IT, ValueType VT>
 struct EpilogueContext {
-  const CsrMatrix<IT, VT>* mask = nullptr;  ///< kMaskReduce: mask matrix
+  const CsrMatrix<IT, VT>* mask = nullptr;  ///< mask matrix, or none
   EpilogueResult* result = nullptr;         ///< optional scalar-output sink
 };
 
-/// Per-thread epilogue scratch and partial results.  mask_dense mirrors
-/// matrix/ops.hpp masked_sum's dense scatter row (restored to zero after
-/// every row); reduce/col_sums are partials folded in thread order after the
+/// Per-thread epilogue partial results, folded in thread order after the
 /// parallel region.
 struct EpilogueState {
-  std::vector<double> mask_dense;
   std::vector<double> col_sums;
   double reduce = 0.0;
   std::uint64_t rows = 0;
@@ -364,10 +495,7 @@ struct EpilogueState {
     reduce = 0.0;
     rows = 0;
     seconds = 0.0;
-    if (spec.kind == EpilogueKind::kMaskReduce) {
-      if (mask_dense.size() < ncols) mask_dense.assign(ncols, 0.0);
-    } else if (spec.kind == EpilogueKind::kPruneScale &&
-               spec.collect_column_sums) {
+    if (spec.kind == EpilogueKind::kPruneScale && spec.collect_column_sums) {
       col_sums.assign(ncols, 0.0);
     }
   }
@@ -404,7 +532,7 @@ struct EpilogueTelemetry {
   }
 };
 
-/// Apply the fused epilogue to one computed row i.  Reads `nnz` entries from
+/// Apply the fused epilogue to one computed row.  Reads `nnz` entries from
 /// (cols_src, vals_src) and writes the kept entries to (cols_dst, vals_dst);
 /// dst may alias src at a LOWER offset (forward compaction: the t-th source
 /// entry is read before the kept-th destination entry is written, and
@@ -413,14 +541,12 @@ struct EpilogueTelemetry {
 /// kPruneScale transforms each value by pow(v, inflation) and keeps it iff
 /// the transformed value is >= prune_below — the same per-element transform,
 /// threshold, and emission order as apps inflate_and_prune, so the fused
-/// output is bit-identical to unfused-then-postprocessed.  kMaskReduce
-/// scatters the row into a dense scratch, sums the entries at the mask row's
-/// positions into the thread partial (exactly masked_sum's per-row walk) and
-/// keeps nothing.
+/// output is bit-identical to unfused-then-postprocessed.  kMaskReduce rows
+/// arrive already filtered by the mask (the product is masked at probe
+/// time), so it sums the row into the thread partial and keeps nothing.
 template <IndexType IT, ValueType VT>
 inline std::size_t apply_row_epilogue(const EpilogueSpec& spec,
-                                      const EpilogueContext<IT, VT>& ctx,
-                                      EpilogueState& state, std::size_t i,
+                                      EpilogueState& state,
                                       const IT* cols_src, const VT* vals_src,
                                       std::size_t nnz, IT* cols_dst,
                                       VT* vals_dst) {
@@ -446,19 +572,8 @@ inline std::size_t apply_row_epilogue(const EpilogueSpec& spec,
       return kept;
     }
     case EpilogueKind::kMaskReduce: {
-      const CsrMatrix<IT, VT>& mask = *ctx.mask;
-      double* dense = state.mask_dense.data();
       for (std::size_t t = 0; t < nnz; ++t) {
-        dense[static_cast<std::size_t>(cols_src[t])] =
-            static_cast<double>(vals_src[t]);
-      }
-      for (Offset j = mask.row_begin(static_cast<IT>(i));
-           j < mask.row_end(static_cast<IT>(i)); ++j) {
-        state.reduce +=
-            dense[static_cast<std::size_t>(mask.cols[static_cast<std::size_t>(j)])];
-      }
-      for (std::size_t t = 0; t < nnz; ++t) {
-        dense[static_cast<std::size_t>(cols_src[t])] = 0.0;
+        state.reduce += static_cast<double>(vals_src[t]);
       }
       return 0;
     }
@@ -515,19 +630,20 @@ inline bool epilogue_fuses_rows(const EpilogueSpec& spec) {
          spec.kind == EpilogueKind::kMaskReduce;
 }
 
-/// Shared argument validation of the two fused paths.
+/// Shared argument validation of the one-shot and planned paths: kMaskReduce
+/// needs a mask, and a mask must have the product's shape.
 template <IndexType IT, ValueType VT>
 inline void validate_epilogue(const EpilogueSpec& spec,
                               const EpilogueContext<IT, VT>& ctx,
                               const CsrMatrix<IT, VT>& a,
                               const CsrMatrix<IT, VT>& b) {
-  if (spec.kind != EpilogueKind::kMaskReduce) return;
-  if (ctx.mask == nullptr) {
+  if (spec.kind == EpilogueKind::kMaskReduce && ctx.mask == nullptr) {
     throw std::invalid_argument(
         "epilogue: kMaskReduce requires a mask matrix (EpilogueContext::mask "
         "/ SpGemmHandle::set_epilogue_mask)");
   }
-  if (ctx.mask->nrows != a.nrows || ctx.mask->ncols != b.ncols) {
+  if (ctx.mask != nullptr &&
+      (ctx.mask->nrows != a.nrows || ctx.mask->ncols != b.ncols)) {
     throw std::invalid_argument("epilogue: mask dimensions mismatch product");
   }
 }
