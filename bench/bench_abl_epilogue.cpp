@@ -6,8 +6,12 @@
 //   * triangle counting: L*U masked by L at probe time with the reduce
 //     fused as kMaskReduce (tricount-fused), the same masked product kept
 //     as a matrix and summed (tricount-masked, multiply_masked), and
-//     materialize-the-wedges-then-masked_sum (tricount-unfused); the three
-//     rows carry their triangle count, which must agree;
+//     materialize-the-wedges-then-masked_sum (tricount-unfused); plus the
+//     masked product planned once on a handle and re-executed
+//     (tricount-replay: per-execute time of the captured in-mask slot
+//     streams; tricount-replay-reprobe: the same plan with capture off, so
+//     every execute re-probes through the mask); every tricount row carries
+//     its triangle count, which must agree;
 //   * Galerkin RAP: multiply_rap vs R*(A*P) with the AP intermediate.
 //
 // Wall time is measured in-process (fused variants first, after a full-scale
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -42,7 +47,9 @@
 #include "apps/markov_cluster.hpp"
 #include "apps/triangle_count.hpp"
 #include "bench_util.hpp"
+#include "core/spgemm_handle.hpp"
 #include "matrix/rmat.hpp"
+#include "matrix/triangular.hpp"
 #include "model/memory_model.hpp"
 
 namespace spgemm::bench {
@@ -117,6 +124,37 @@ void add_estimate_row(JsonReporter& json, const std::string& kernel,
   json.add(std::move(rec));
 }
 
+/// The triangle-count product L .* (L*U) planned once on a handle with a
+/// kMaskReduce epilogue; run() is one numeric execute and returns the
+/// triangle count.  Not movable: the handle holds a pointer to the mask.
+class TriangleReplay {
+ public:
+  TriangleReplay(const Matrix& a, SpGemmOptions opts, StructureReuse reuse)
+      : split_(prepare_triangle_split(a)) {
+    opts.epilogue.kind = EpilogueKind::kMaskReduce;
+    opts.reuse = reuse;
+    if (opts.algorithm == Algorithm::kAuto) opts.algorithm = Algorithm::kHash;
+    handle_.set_epilogue_mask(&split_.lower);
+    handle_.plan(split_.lower, split_.upper, opts);
+  }
+  TriangleReplay(const TriangleReplay&) = delete;
+  TriangleReplay& operator=(const TriangleReplay&) = delete;
+
+  long long run() {
+    handle_.execute(split_.lower, split_.upper);
+    return static_cast<long long>(handle_.epilogue_result().reduce + 0.5);
+  }
+
+ private:
+  TriangularSplit<I, double> split_;
+  SpGemmHandle<I, double> handle_;
+};
+
+StructureReuse replay_reuse(const std::string& name) {
+  return name == "tricount-replay-reprobe" ? StructureReuse::kOff
+                                           : StructureReuse::kAuto;
+}
+
 /// One full run of a named pipeline variant — the unit both the timing loop
 /// and the child-process RSS probe execute.
 void run_variant_once(const std::string& name, const Matrix& a,
@@ -133,6 +171,8 @@ void run_variant_once(const std::string& name, const Matrix& a,
     apps::count_triangles_masked(a, opts);
   } else if (name == "tricount-unfused") {
     apps::count_triangles(a, opts);
+  } else if (name == "tricount-replay" || name == "tricount-replay-reprobe") {
+    TriangleReplay(a, opts, replay_reuse(name)).run();
   } else if (name == "rap-fused") {
     apps::galerkin_product_fused(a, p, opts);
   } else if (name == "rap-unfused") {
@@ -245,6 +285,20 @@ int main(int, char** argv) {
     return 0;
   });
 
+  // Plan once per variant (untimed), then time single executes.
+  Measured tri_replay;
+  Measured tri_reprobe;
+  for (const auto& [name, row] :
+       {std::pair{"tricount-replay", &tri_replay},
+        std::pair{"tricount-replay-reprobe", &tri_reprobe}}) {
+    TriangleReplay replay(a, opts, replay_reuse(name));
+    replay.run();
+    *row = measure([&](Measured& out) -> Offset {
+      out.triangles = replay.run();
+      return 0;
+    });
+  }
+
   Measured rap_fused = measure([&](Measured&) -> Offset {
     return static_cast<Offset>(
         apps::galerkin_product_fused(a, p, opts).coarse.nnz());
@@ -271,10 +325,14 @@ int main(int, char** argv) {
     return static_cast<Offset>(result.wedges.nnz());
   });
   if (tri_fused.triangles != tri_unfused.triangles ||
-      tri_masked.triangles != tri_unfused.triangles) {
+      tri_masked.triangles != tri_unfused.triangles ||
+      tri_replay.triangles != tri_unfused.triangles ||
+      tri_reprobe.triangles != tri_unfused.triangles) {
     std::fprintf(stderr,
-                 "TRIANGLE MISMATCH: fused %lld, masked %lld, unfused %lld\n",
+                 "TRIANGLE MISMATCH: fused %lld, masked %lld, replay %lld, "
+                 "replay-reprobe %lld, unfused %lld\n",
                  tri_fused.triangles, tri_masked.triangles,
+                 tri_replay.triangles, tri_reprobe.triangles,
                  tri_unfused.triangles);
     return 1;
   }
@@ -296,6 +354,8 @@ int main(int, char** argv) {
                           Probe{"tricount-fused", &tri_fused},
                           Probe{"tricount-masked", &tri_masked},
                           Probe{"tricount-unfused", &tri_unfused},
+                          Probe{"tricount-replay", &tri_replay},
+                          Probe{"tricount-replay-reprobe", &tri_reprobe},
                           Probe{"rap-fused", &rap_fused},
                           Probe{"rap-unfused", &rap_unfused}}) {
     const long long peak = child_peak_rss(exe, pr.variant);
@@ -305,6 +365,8 @@ int main(int, char** argv) {
   add_row(json, "mcl-fused", matrix, mcl_fused);
   add_row(json, "tricount-fused", matrix, tri_fused);
   add_row(json, "tricount-masked", matrix, tri_masked);
+  add_row(json, "tricount-replay", matrix, tri_replay);
+  add_row(json, "tricount-replay-reprobe", matrix, tri_reprobe);
   add_row(json, "rap-fused", matrix, rap_fused);
   add_row(json, "mcl-unfused", matrix, mcl_unfused);
   add_row(json, "tricount-unfused", matrix, tri_unfused);

@@ -195,13 +195,13 @@ struct ThreadPlan {
   // order, plus one record per tile for the placement copy: the kept
   // (post-epilogue) entries of a fused execute, or the whole staged output
   // of a one-shot.  Grow-only across executes, like every other workspace
-  // here; a fused execute's full row lives only in row_vals/row_cols while
-  // cache-hot.
+  // here; a fused execute's full tile lives only in tile_vals/tile_cols
+  // while cache-hot.
   mem::Buffer<IT> kept_cols;
   mem::Buffer<VT> kept_vals;
   std::vector<PlannedTile> kept_tiles;
-  mem::Buffer<VT> row_vals;  ///< one row's values (captured + fallback)
-  mem::Buffer<IT> row_cols;  ///< one fallback row's columns
+  mem::Buffer<VT> tile_vals;  ///< one tile's values (captured + fallback)
+  mem::Buffer<IT> tile_cols;  ///< the tile's fallback rows' columns
   EpilogueState epi;
   MaskFlags<IT> mask;  ///< masked products: the current mask row's flags
 };
@@ -267,19 +267,20 @@ struct PlanCore {
   bool masked = false;
   StructureId<IT, VT> id_mask;  ///< O(1) identity of the planned mask
   std::uint64_t mask_fp = 0;    ///< structure fingerprint of the planned mask
-  /// Per thread: the largest masked row it may hold (init_mask_sizing).
-  std::vector<Offset> mask_sizing;
 };
 
 /// Resolve the shape of a product: the flop-balanced (or equal-row)
 /// partition, the tiling and capture budget, and the ExecutionSchedule cut
 /// from them.  `default_budget_bytes` is the capture budget of the path
-/// (one-shot or persistent plan) when opts.reuse_budget_bytes is 0.  The
-/// caller keeps a ScopedNumThreads alive around this and every pass.
+/// (one-shot or persistent plan) when opts.reuse_budget_bytes is 0; `mask`
+/// (validated, or null) makes the product masked and caps the schedule's
+/// accumulator sizing.  The caller keeps a ScopedNumThreads alive around
+/// this and every pass.
 template <IndexType IT, ValueType VT>
 void init_plan_core(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
                     const CsrMatrix<IT, VT>& b, const SpGemmOptions& opts,
-                    std::size_t default_budget_bytes) {
+                    std::size_t default_budget_bytes,
+                    const CsrMatrix<IT, VT>* mask) {
   const auto nrows = static_cast<std::size_t>(a.nrows);
   core.opts = opts;
   core.nrows = a.nrows;
@@ -298,7 +299,9 @@ void init_plan_core(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
   core.probe_batching = cfg.probe_batching;
   core.replay_kind = resolve_probe_kind(opts.probe);
   core.tile_rows = cfg.tile_rows;
-  build_schedule(core.schedule, core.part, opts, cfg);
+  core.masked = mask != nullptr;
+  build_schedule(core.schedule, core.part, opts, cfg,
+                 core.masked ? mask->rpts.data() : nullptr);
 }
 
 /// The symbolic-side stats every two-phase product reports, from its core.
@@ -340,30 +343,6 @@ struct WorkTotal {
             keys.load(std::memory_order_relaxed)};
   }
 };
-
-/// Accumulator sizing of a masked product: a masked row holds at most
-/// min(flop_i, nnz(M_i)) entries.  Under the static schedule a thread only
-/// runs its owned rows and sizes for them; under dynamic or stealing it may
-/// run any tile, so every thread sizes for the global maximum.
-template <IndexType IT, ValueType VT>
-void init_mask_sizing(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& mask) {
-  const parallel::RowPartition& part = core.part;
-  core.mask_sizing.assign(static_cast<std::size_t>(part.threads()), 0);
-  for (std::size_t t = 0; t < core.mask_sizing.size(); ++t) {
-    Offset& best = core.mask_sizing[t];
-    for (std::size_t i = part.offsets[t]; i < part.offsets[t + 1]; ++i) {
-      best = std::max(best, std::min(part.flop_prefix[i + 1] -
-                                         part.flop_prefix[i],
-                                     mask.rpts[i + 1] - mask.rpts[i]));
-    }
-  }
-  if (core.opts.tile_schedule != parallel::TileSchedule::kStatic &&
-      !core.mask_sizing.empty()) {
-    const Offset global =
-        *std::max_element(core.mask_sizing.begin(), core.mask_sizing.end());
-    std::fill(core.mask_sizing.begin(), core.mask_sizing.end(), global);
-  }
-}
 
 /// Run `fn` with std::true_type for a masked product and std::false_type
 /// otherwise: the row bodies are chosen once per pass, at compile time, so
@@ -459,25 +438,22 @@ struct KernelPlan {
     for (int t = 0; t < nthreads; ++t) threads.emplace_back(policy.make());
   }
 
-  /// Size thread `tid`'s accumulator for a pass, inside the owning thread:
-  /// for its longest row, or its longest masked row (and its mask flags).
+  /// Size thread `tid`'s accumulator for a pass, inside the owning thread,
+  /// for the longest row it may run (capped by its mask row when masked),
+  /// and size its mask flags.
   template <bool kMasked>
   void prepare_thread(const PlanCore<IT, VT>& core, Thread& tp, int tid,
                       IT ncols_b) const {
-    if constexpr (kMasked) {
-      policy.prepare(tp.acc, core.mask_sizing[static_cast<std::size_t>(tid)],
-                     ncols_b);
-      tp.mask.begin(static_cast<std::size_t>(ncols_b));
-    } else {
-      policy.prepare(tp.acc, core.schedule.sizing_max_row_flop(tid), ncols_b);
-    }
+    policy.prepare(tp.acc, core.schedule.sizing_max_row_flop(tid), ncols_b);
+    if constexpr (kMasked) tp.mask.begin(static_cast<std::size_t>(ncols_b));
   }
 
   /// Prepare thread `tid` for a symbolic pass: size its accumulator,
-  /// resolve batching, and size its capture buffer (a thread never records
-  /// more than 2 * its flop in slots, 4 * when masked, so small products
-  /// need far less than the full budget).  Returns the capture buffer, or
-  /// nullptr when capture is off.
+  /// resolve batching, and size its capture buffer (an unmasked thread never
+  /// records more than 2 * its flop in slots, so small products need far
+  /// less than the full budget; masked rows record 1 + 2 * kept + nnz and
+  /// share the same bound, rows past it re-probe).  Returns the capture
+  /// buffer, or nullptr when capture is off.
   template <bool kMasked>
   IT* begin_symbolic(const PlanCore<IT, VT>& core, Thread& tp, int tid,
                      IT ncols_b, SymbolicScratch& s) const {
@@ -487,10 +463,9 @@ struct KernelPlan {
               thread_batches(core.probe_batching, tp.acc);
     const auto flop_bound =
         static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
-    const std::size_t slots_per_flop = kMasked ? 4 : 2;
     tp.capture_entries =
         core.capture_enabled
-            ? std::min(core.budget_entries, slots_per_flop * flop_bound + 16)
+            ? std::min(core.budget_entries, 2 * flop_bound + 16)
             : 0;
     return core.capture_enabled ? tp.capture.ensure(tp.capture_entries)
                                 : nullptr;
@@ -517,9 +492,8 @@ struct KernelPlan {
     row.sorted = emit_sorted(core, force_sorted);
     row.cap_off = cap_used;
     if constexpr (kMasked) {
-      // [kept, (position, slot) x kept] plus the gather list; a row without
-      // products has nothing to replay, which keeps a thread's streams
-      // under 4 * its flop.
+      // [kept, (position, slot) x kept] plus the gather list, reserved at
+      // its worst case; a row without products has nothing to replay.
       row.captured = cap != nullptr && flop > 0 &&
                      cap_used + 1 + 2 * flop +
                              static_cast<std::size_t>(size) <=
@@ -616,17 +590,52 @@ struct KernelPlan {
     return nnz;
   }
 
-  /// The fused epilogue over one computed row, timed into the thread's
-  /// epilogue state.  Returns the kept count.
-  static std::size_t epilogue_row(const EpilogueSpec& spec, EpilogueState& st,
-                                  const IT* cols, const VT* vals,
-                                  std::size_t nnz, IT* cols_dst,
-                                  VT* vals_dst) {
+  /// The fused epilogue over the computed rows [r0, r1) of one tile, timed
+  /// once per tile (a row's epilogue is too short to time on its own).  The
+  /// tile's rows sit back to back: row i's values at vals + off and its
+  /// columns at cols_at(i, off), where off is the row's offset in the tile
+  /// and counts[i] its entry count.  Kept entries are appended at
+  /// (cols_dst, vals_dst), which may alias the sources (forward compaction,
+  /// apply_row_epilogue), and counts[i] becomes the kept count.  Returns the
+  /// tile's kept total.
+  template <typename ColsAt>
+  static std::size_t epilogue_tile(const EpilogueSpec& spec,
+                                   EpilogueState& st, std::size_t r0,
+                                   std::size_t r1, Offset* counts,
+                                   ColsAt&& cols_at, const VT* vals,
+                                   IT* cols_dst, VT* vals_dst) {
     const std::uint64_t t0 = monotonic_ns();
-    const std::size_t kept =
-        apply_row_epilogue(spec, st, cols, vals, nnz, cols_dst, vals_dst);
+    std::size_t off = 0;
+    std::size_t kept_total = 0;
+    for (std::size_t i = r0; i < r1; ++i) {
+      const auto nnz = static_cast<std::size_t>(counts[i]);
+      const std::size_t kept =
+          apply_row_epilogue(spec, st, cols_at(i, off), vals + off, nnz,
+                             cols_dst + kept_total, vals_dst + kept_total);
+      counts[i] = static_cast<Offset>(kept);
+      kept_total += kept;
+      off += nnz;
+    }
     st.seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
-    return kept;
+    return kept_total;
+  }
+
+  /// epilogue_tile over a one-shot tile staged in the thread's kept
+  /// buffers from `begin` on (counts in c.rpts): compacts it in place, so
+  /// only kept entries outlive the tile.
+  static void epilogue_staged_tile(const EpilogueSpec& spec, Thread& tp,
+                                   std::size_t r0, std::size_t r1,
+                                   std::size_t begin, Matrix& c) {
+    IT* cols = tp.kept_cols.data() + begin;
+    VT* vals = tp.kept_vals.data() + begin;
+    const std::size_t kept = epilogue_tile(
+        spec, tp.epi, r0, r1, c.rpts.data(),
+        [cols](std::size_t, std::size_t off) -> const IT* {
+          return cols + off;
+        },
+        vals, cols, vals);
+    tp.kept_cols.resize(begin + kept);
+    tp.kept_vals.resize(begin + kept);
   }
 
   /// Throw the typed error of a masked pass whose flag scatter met a mask
@@ -790,12 +799,13 @@ struct KernelPlan {
     return total.load();
   }
 
-  /// Fused-epilogue execute pass: each row is computed into per-thread row
-  /// scratch, the epilogue runs on it while cache-hot, and only the KEPT
-  /// entries are staged.  The plan's full-intermediate skeleton (core.rpts
-  /// / staged_cols) stays untouched plan state; the output CSR is sized to
-  /// the kept nnz only — the intermediate product is never materialized.
-  /// `c.rpts` doubles as the kept-count scratch before its exclusive scan.
+  /// Fused-epilogue execute pass: each tile is computed into per-thread
+  /// tile scratch, the epilogue runs over it while cache-hot, and only the
+  /// KEPT entries are staged.  The plan's full-intermediate skeleton
+  /// (core.rpts / staged_cols) stays untouched plan state; the output CSR is
+  /// sized to the kept nnz only — the intermediate product is never
+  /// materialized.  `c.rpts` doubles as the kept-count scratch before its
+  /// exclusive scan.
   template <typename SR, bool kMasked>
   Work numeric_fused(const PlanCore<IT, VT>& core, const Matrix& a,
                      const Matrix& b, const Matrix* mask, Matrix& c) {
@@ -818,30 +828,38 @@ struct KernelPlan {
         std::size_t kept_sz = 0;
         for (const PlannedTile& tile : tp.tiles) {
           tp.kept_tiles.push_back({tile.row_begin, tile.row_end, kept_sz});
-          std::size_t stage_off = tile.stage_begin;
+          // Tile-local offsets match the staged skeleton columns, so a
+          // captured row's columns are read from there in place.
+          const auto tile_nnz = static_cast<std::size_t>(
+              core.rpts[tile.row_end] - core.rpts[tile.row_begin]);
+          if (tp.tile_vals.size() < tile_nnz) tp.tile_vals.resize(tile_nnz);
+          const std::size_t first = cursor;
+          std::size_t off = 0;
           for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
             const PlannedRow<IT>& row = tp.rows[cursor++];
-            const auto nnz = static_cast<std::size_t>(row.nnz);
-            if (tp.row_vals.size() < nnz) tp.row_vals.resize(nnz);
-            if (!row.captured && tp.row_cols.size() < nnz) {
-              tp.row_cols.resize(nnz);
+            if (!row.captured && tp.tile_cols.size() < tile_nnz) {
+              tp.tile_cols.resize(tile_nnz);
             }
             numeric_row<SR, kMasked>(core, tp, a, b, mask, i, row,
-                                     tp.capture.data(), tp.row_cols.data(),
-                                     tp.row_vals.data());
-            const IT* cols = row.captured ? tp.staged_cols.data() + stage_off
-                                          : tp.row_cols.data();
-            tp.kept_cols.resize(kept_sz + nnz);
-            tp.kept_vals.resize(kept_sz + nnz);
-            const std::size_t kept = epilogue_row(
-                spec, tp.epi, cols, tp.row_vals.data(), nnz,
-                tp.kept_cols.data() + kept_sz, tp.kept_vals.data() + kept_sz);
-            tp.kept_cols.resize(kept_sz + kept);
-            tp.kept_vals.resize(kept_sz + kept);
-            c.rpts[i] = static_cast<Offset>(kept);
-            kept_sz += kept;
-            stage_off += nnz;
+                                     tp.capture.data(),
+                                     tp.tile_cols.data() + off,
+                                     tp.tile_vals.data() + off);
+            c.rpts[i] = static_cast<Offset>(row.nnz);
+            off += static_cast<std::size_t>(row.nnz);
           }
+          tp.kept_cols.resize(kept_sz + tile_nnz);
+          tp.kept_vals.resize(kept_sz + tile_nnz);
+          kept_sz += epilogue_tile(
+              spec, tp.epi, tile.row_begin, tile.row_end, c.rpts.data(),
+              [&](std::size_t i, std::size_t row_off) -> const IT* {
+                return tp.rows[first + (i - tile.row_begin)].captured
+                           ? tp.staged_cols.data() + tile.stage_begin + row_off
+                           : tp.tile_cols.data() + row_off;
+              },
+              tp.tile_vals.data(), tp.kept_cols.data() + kept_sz,
+              tp.kept_vals.data() + kept_sz);
+          tp.kept_cols.resize(kept_sz);
+          tp.kept_vals.resize(kept_sz);
         }
         total.add(since(tp.acc, mark));
       }
@@ -859,7 +877,7 @@ struct KernelPlan {
   /// rows, while the tile's A/B rows and accumulator state are still
   /// cache-hot.  Global row offsets are unknown until every row is
   /// counted, so values are staged next to the staged columns
-  /// (kept_cols/kept_vals); a fused epilogue compacts each finished row
+  /// (kept_cols/kept_vals); a fused epilogue compacts each finished tile
   /// forward, so only kept entries outlive their tile.  The capture buffer
   /// is reused per tile and nothing is kept for a later execute.  A masked
   /// product runs no symbolic pass: each row probes once through the mask
@@ -938,30 +956,6 @@ struct KernelPlan {
                   tp.kept_vals.resize(at + nnz);
                   c.rpts[i] = static_cast<Offset>(nnz);
                 }
-                if (fused) {
-                  // One timed sweep per tile: a masked row's epilogue is
-                  // too short to time row by row.
-                  const std::uint64_t t0 = monotonic_ns();
-                  std::size_t compact = stage_begin;
-                  std::size_t off = stage_begin;
-                  for (std::size_t i = r0; i < r1; ++i) {
-                    const auto nnz = static_cast<std::size_t>(c.rpts[i]);
-                    const std::size_t kept = apply_row_epilogue(
-                        spec, tp.epi, tp.kept_cols.data() + off,
-                        tp.kept_vals.data() + off, nnz,
-                        tp.kept_cols.data() + compact,
-                        tp.kept_vals.data() + compact);
-                    c.rpts[i] = static_cast<Offset>(kept);
-                    compact += kept;
-                    off += nnz;
-                  }
-                  tp.kept_cols.resize(compact);
-                  tp.kept_vals.resize(compact);
-                  tp.epi.seconds +=
-                      static_cast<double>(monotonic_ns() - t0) * 1e-9;
-                }
-                tt.numeric_s += timer.seconds();
-                num += since(acc, mark);
               } else {
                 tp.rows.clear();
                 timer.reset();
@@ -981,32 +975,20 @@ struct KernelPlan {
 
                 timer.reset();
                 tp.kept_vals.resize(tp.kept_cols.size());
-                std::size_t compact = stage_begin;
                 stage_off = stage_begin;
                 for (std::size_t i = r0; i < r1; ++i) {
                   const PlannedRow<IT>& row = tp.rows[i - r0];
-                  const auto nnz = static_cast<std::size_t>(row.nnz);
-                  IT* cols = tp.kept_cols.data() + stage_off;
-                  VT* vals = tp.kept_vals.data() + stage_off;
                   numeric_row<SR, false>(core, tp, a, b, nullptr, i, row, cap,
-                                         cols, vals);
-                  if (fused) {
-                    const std::size_t kept = epilogue_row(
-                        spec, tp.epi, cols, vals, nnz,
-                        tp.kept_cols.data() + compact,
-                        tp.kept_vals.data() + compact);
-                    c.rpts[i] = static_cast<Offset>(kept);
-                    compact += kept;
-                  }
-                  stage_off += nnz;
+                                         tp.kept_cols.data() + stage_off,
+                                         tp.kept_vals.data() + stage_off);
+                  stage_off += static_cast<std::size_t>(row.nnz);
                 }
-                if (fused) {
-                  tp.kept_cols.resize(compact);
-                  tp.kept_vals.resize(compact);
-                }
-                tt.numeric_s += timer.seconds();
-                num += since(acc, mark);
               }
+              if (fused) {
+                epilogue_staged_tile(spec, tp, r0, r1, stage_begin, c);
+              }
+              tt.numeric_s += timer.seconds();
+              num += since(acc, mark);
             });
 
         sym_total.add(sym);
@@ -1062,20 +1044,19 @@ CsrMatrix<IT, VT> run_once(const CsrMatrix<IT, VT>& a,
   TELEM_SPAN("oneshot.multiply");
   parallel::ScopedNumThreads scoped(opts.threads);
   Timer timer;
-  PlanCore<IT, VT> core;
-  init_plan_core(core, a, b, opts, model::kDefaultReuseBudgetBytes);
   const bool fused = epilogue_fuses_rows(opts.epilogue);
   const EpilogueContext<IT, VT> no_epi{};
   const EpilogueContext<IT, VT>& ectx = epi != nullptr ? *epi : no_epi;
   validate_epilogue(opts.epilogue, ectx, a, b);
   const CsrMatrix<IT, VT>* mask = ectx.mask;
-  if (mask != nullptr) init_mask_sizing(core, *mask);
+  PlanCore<IT, VT> core;
+  init_plan_core(core, a, b, opts, model::kDefaultReuseBudgetBytes, mask);
   const double setup_s = timer.seconds();
 
   CsrMatrix<IT, VT> c(a.nrows, b.ncols);
   KernelPlan<IT, VT, Policy> kernel(std::move(policy));
   typename KernelPlan<IT, VT, Policy>::OnceTimes times;
-  const Work num = with_mask(mask != nullptr, [&](auto masked) {
+  const Work num = with_mask(core.masked, [&](auto masked) {
     return kernel.template once<SR, decltype(masked)::value>(
         core, a, b, mask, fused, c, times);
   });
@@ -1167,7 +1148,8 @@ class SpGemmHandle {
     // A persistent plan trades memory for repeated numeric time, so its
     // default capture budget is the large plan budget; an explicit
     // reuse_budget_bytes overrides it.
-    detail::init_plan_core(core_, a, b, opts, model::kDefaultPlanBudgetBytes);
+    detail::init_plan_core(core_, a, b, opts, model::kDefaultPlanBudgetBytes,
+                           epilogue_mask_);
     // Debug builds recompute and validate a caller-supplied fingerprint: a
     // wrong hash in a release build silently executes a stale plan (the
     // ensure_planned_hashed contract), so the one build mode that can
@@ -1179,11 +1161,9 @@ class SpGemmHandle {
                                      : pair_fingerprint(a, b);
     core_.id_a = detail::StructureId<IT, VT>::of(a);
     core_.id_b = detail::StructureId<IT, VT>::of(b);
-    core_.masked = epilogue_mask_ != nullptr;
     if (core_.masked) {
       core_.id_mask = detail::StructureId<IT, VT>::of(*epilogue_mask_);
       core_.mask_fp = structure_fingerprint(*epilogue_mask_);
-      detail::init_mask_sizing(core_, *epilogue_mask_);
     }
     stats_.setup_ms = timer.millis();
 
@@ -1329,8 +1309,8 @@ class SpGemmHandle {
               bytes += tp.kept_cols.capacity() * sizeof(IT) +
                        tp.kept_vals.capacity() * sizeof(VT) +
                        tp.kept_tiles.capacity() * sizeof(detail::PlannedTile);
-              bytes += tp.row_cols.capacity() * sizeof(IT) +
-                       tp.row_vals.capacity() * sizeof(VT);
+              bytes += tp.tile_cols.capacity() * sizeof(IT) +
+                       tp.tile_vals.capacity() * sizeof(VT);
               bytes += tp.mask.flags.capacity();
             }
           }

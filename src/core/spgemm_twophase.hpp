@@ -467,8 +467,9 @@ struct MaskFlags {
 
 // ---- Fused row epilogues ----------------------------------------------------
 //
-// The epilogue hook runs over each output row right after its numeric pass,
-// while the row (and the A/B rows that produced it) are still cache-hot.
+// The epilogue hook runs over each output row right after the numeric pass
+// of its tile, while the tile (and the A/B rows that produced it) are still
+// cache-hot; KernelPlan::epilogue_tile times one sweep per tile.
 // Structural epilogues (kPruneScale, kMaskReduce) compact or consume the row
 // in place, so the full intermediate product is never materialized — its
 // allocation vanishes from peak RSS.  The spec (EpilogueSpec) rides in
@@ -714,11 +715,14 @@ inline TileConfig resolve_tile_config(const parallel::RowPartition& part,
 }
 
 /// Build the ExecutionSchedule for one resolved configuration.
+/// `mask_rpts` (a masked product's mask row pointers, or null) caps the
+/// accumulator sizing: a masked row holds at most min(flop_i, nnz(M_i)).
 inline void build_schedule(parallel::ExecutionSchedule& schedule,
                            const parallel::RowPartition& part,
-                           const SpGemmOptions& opts, const TileConfig& cfg) {
+                           const SpGemmOptions& opts, const TileConfig& cfg,
+                           const Offset* mask_rpts) {
   schedule.build(part, opts.tile_schedule, cfg.tile_rows,
-                 cfg.tile_flop_target);
+                 cfg.tile_flop_target, mask_rpts);
 }
 
 }  // namespace spgemm::detail

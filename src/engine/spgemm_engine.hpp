@@ -321,7 +321,9 @@ class SpGemmEngine {
     EpilogueSpec epilogue;
     /// kMaskReduce operand; must outlive delivery like `a`/`b`.  When the
     /// spec's mask_fp is 0 the engine fingerprints the mask per attempt —
-    /// steady-state callers should precompute it.
+    /// steady-state callers should precompute it.  Any other epilogue kind
+    /// ignores it: the engine serves masked products only as kMaskReduce,
+    /// whose key carries mask_fp.
     const CsrMatrix<IT, VT>* epilogue_mask = nullptr;
     /// Precomputed model::estimate_flop(a, b); 0 = unknown (the engine
     /// derives it).  Lets producers that reuse matrices across many
@@ -1267,9 +1269,13 @@ class SpGemmEngine {
     SpGemmOptions opts = opts_.plan;
     opts.threads = threads;
     opts.epilogue = r.epilogue;
-    if (opts.epilogue.kind == EpilogueKind::kMaskReduce &&
-        opts.epilogue.mask_fp == 0 && r.epilogue_mask != nullptr) {
-      opts.epilogue.mask_fp = structure_fingerprint(*r.epilogue_mask);
+    // A handle plans a masked product whenever a mask is attached, so only
+    // kMaskReduce, whose cache key carries mask_fp, gets one.
+    const CsrMatrix<IT, VT>* mask =
+        opts.epilogue.kind == EpilogueKind::kMaskReduce ? r.epilogue_mask
+                                                        : nullptr;
+    if (mask != nullptr && opts.epilogue.mask_fp == 0) {
+      opts.epilogue.mask_fp = structure_fingerprint(*mask);
     }
     // Fused plans never share a cache entry with unfused ones over the same
     // structure: the epilogue fingerprint perturbs the pair key.
@@ -1300,7 +1306,7 @@ class SpGemmEngine {
           epilogue_key(pair_structure_hash(fp_a, fp_b));
       SpGemmHandle<IT, VT> handle;
       handle.set_pass_exit_sink(sink);
-      handle.set_epilogue_mask(r.epilogue_mask);
+      handle.set_epilogue_mask(mask);
       {
         const std::uint64_t t0 = trace_now(tc);
         handle.plan(*r.a, *r.b, opts, nullptr, &pair);
@@ -1328,7 +1334,7 @@ class SpGemmEngine {
         // Same discipline for the epilogue mask: it belongs to this
         // request, not to the retained plan.
         lease.handle().set_pass_exit_sink(sink);
-        lease.handle().set_epilogue_mask(r.epilogue_mask);
+        lease.handle().set_epilogue_mask(mask);
         {
           const std::uint64_t t0 = trace_now(tc);
           out.cache_hit = !lease.handle().ensure_planned_hashed(

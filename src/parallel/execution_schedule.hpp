@@ -51,10 +51,13 @@ class ExecutionSchedule {
 
   /// Cut each thread's partition range into tiles of ~`target_flop` scalar
   /// multiplications (0 = row cap only) and at most `row_cap` rows, and
-  /// record ownership.  The claim state is allocated here; begin_pass() must
-  /// run before the first traversal.
+  /// record ownership.  `row_bound` (optional CSR row pointers, a mask's)
+  /// caps each row's accumulator sizing (RowPartition::max_row_flop).  The
+  /// claim state is allocated here; begin_pass() must run before the first
+  /// traversal.
   void build(const RowPartition& part, TileSchedule policy,
-             std::size_t row_cap, Offset target_flop) {
+             std::size_t row_cap, Offset target_flop,
+             const Offset* row_bound = nullptr) {
     policy_ = policy;
     tiles_.clear();
     const int nthreads = part.threads();
@@ -70,7 +73,7 @@ class ExecutionSchedule {
       owner_begin_[ut + 1] = tiles_.size();
       // The thread ranges tile [0, nrows), so these per-range scans are one
       // pass over the matrix and their maxima cover the global maximum.
-      owned_max_row_flop_[ut] = part.max_row_flop(t);
+      owned_max_row_flop_[ut] = part.max_row_flop(t, row_bound);
       owned_flop_[ut] = part.flop_prefix[part.offsets[ut + 1]] -
                         part.flop_prefix[part.offsets[ut]];
       if (owned_max_row_flop_[ut] > global_max_row_flop_) {
@@ -100,9 +103,10 @@ class ExecutionSchedule {
     return owner_begin_[t + 1] - owner_begin_[t];
   }
 
-  /// Worst-case per-row flop a thread's accumulator must hold: under the
-  /// static policy a thread only ever sees its owned rows; under dynamic or
-  /// stealing it may run any tile, so sizing must cover the global maximum.
+  /// Worst-case row a thread's accumulator must hold (per-row flop, capped
+  /// by the build's row bound): under the static policy a thread only ever
+  /// sees its owned rows; under dynamic or stealing it may run any tile, so
+  /// sizing must cover the global maximum.
   [[nodiscard]] Offset sizing_max_row_flop(int tid) const {
     return policy_ == TileSchedule::kStatic
                ? owned_max_row_flop_[static_cast<std::size_t>(tid)]

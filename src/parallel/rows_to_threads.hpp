@@ -51,11 +51,18 @@ struct RowPartition {
   [[nodiscard]] Offset total_flop() const { return flop_prefix.back(); }
 
   /// Max per-row flop within thread t's range (hash-table sizing input).
-  [[nodiscard]] Offset max_row_flop(int t) const {
+  /// `row_bound`, when given, is a second CSR row-pointer array that caps
+  /// each row: row i then counts min(flop_i, row_bound[i+1] - row_bound[i])
+  /// (a masked product's row never holds more entries than its mask row).
+  [[nodiscard]] Offset max_row_flop(int t,
+                                    const Offset* row_bound = nullptr) const {
     Offset best = 0;
     for (std::size_t i = offsets[static_cast<std::size_t>(t)];
          i < offsets[static_cast<std::size_t>(t) + 1]; ++i) {
-      const Offset f = flop_prefix[i + 1] - flop_prefix[i];
+      Offset f = flop_prefix[i + 1] - flop_prefix[i];
+      if (row_bound != nullptr) {
+        f = std::min(f, row_bound[i + 1] - row_bound[i]);
+      }
       if (f > best) best = f;
     }
     return best;

@@ -370,5 +370,40 @@ TEST(EpilogueEngine, MaskReduceServedThroughEngine) {
   EXPECT_THROW(eng.submit(bad).get(), SpGemmError);
 }
 
+// A mask rides only with kMaskReduce: a request of any other kind that
+// carries one is an unmasked product and shares the unmasked plan.  Masked
+// and unmasked requests alternating over one (A, B) keep two cache entries
+// and hit both, with every result matching its oracle.
+TEST(EpilogueEngine, MaskedAndUnmaskedRequestsShareNoPlan) {
+  const Matrix a = unit_valued_rmat(7, 8, 67);
+  const TriangularSplit<I, double> split = prepare_triangle_split(a);
+  engine::EngineOptions eo;
+  eo.plan.algorithm = Algorithm::kHash;
+  Engine eng(eo);
+
+  Engine::Request plain{&split.lower, &split.upper};
+  plain.epilogue_mask = &split.lower;  // ignored: no kMaskReduce
+  Engine::Request reduce = plain;
+  reduce.epilogue.kind = EpilogueKind::kMaskReduce;
+
+  SpGemmOptions oracle_opts = eo.plan;
+  oracle_opts.sort_output = SortOutput::kYes;
+  const double expected = masked_sum_ref(
+      multiply(split.lower, split.upper, oracle_opts), split.lower);
+  for (int round = 0; round < 3; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    const Engine::Product p = eng.submit(plain).get();
+    EXPECT_EQ(p.cache_hit, round > 0) << label;
+    SpGemmOptions opts = eo.plan;
+    opts.threads = p.threads_used;
+    expect_bitwise_equal(p.c, multiply(split.lower, split.upper, opts),
+                         label + " unmasked");
+    const Engine::Product r = eng.submit(reduce).get();
+    EXPECT_EQ(r.cache_hit, round > 0) << label;
+    EXPECT_EQ(r.epilogue.reduce, expected) << label;
+    EXPECT_EQ(r.c.nnz(), 0) << label;
+  }
+}
+
 }  // namespace
 }  // namespace spgemm

@@ -208,6 +208,23 @@ TEST(ExecutionSchedule, SizingCoversAnyTileUnderRoamingPolicies) {
   ExecutionSchedule static_schedule;
   static_schedule.build(part, TileSchedule::kStatic, 4, 0);
   EXPECT_EQ(static_schedule.sizing_max_row_flop(0), 500);
+
+  // A row bound (a mask's row pointers) caps each row at min(flop, bound):
+  // the dense row's mask row holds 7 entries, every other row holds 2.
+  std::vector<Offset> bound_rpts(17, 0);
+  for (std::size_t i = 0; i < 16; ++i) {
+    bound_rpts[i + 1] = bound_rpts[i] + (i == 3 ? 7 : 2);
+  }
+  for (const TileSchedule policy : {TileSchedule::kStatic,
+                                    TileSchedule::kDynamic,
+                                    TileSchedule::kStealing}) {
+    ExecutionSchedule schedule;
+    schedule.build(part, policy, 4, 0, bound_rpts.data());
+    EXPECT_EQ(schedule.sizing_max_row_flop(0), 7);  // thread 0 owns row 3
+    if (policy != TileSchedule::kStatic) {
+      for (int t = 1; t < 4; ++t) EXPECT_EQ(schedule.sizing_max_row_flop(t), 7);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
