@@ -26,6 +26,8 @@
 
 #include "bench_util.hpp"
 #include "common/cpu_features.hpp"
+#include "core/spgemm_handle.hpp"
+#include "core/spgemm_policies.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/rmat.hpp"
 
@@ -37,28 +39,45 @@ using namespace spgemm::bench;
 using I = std::int32_t;
 using Matrix = CsrMatrix<I, double>;
 
+/// HashVector accumulator whose batching gate is fixed per ablation arm
+/// instead of the table-size gate (accumulator/hash_table.hpp,
+/// kBatchMinTableBytes): the batched arm measures the batch machinery
+/// itself, so it must really run, including at CI smoke scales whose small
+/// tables the library gate keeps on the per-key walk.  Where batched rows
+/// lose here, the library's gate simply does not engage them.
+template <bool kBatched>
+struct GatedHashVec : HashVecAccumulator<I, double> {
+  using HashVecAccumulator<I, double>::HashVecAccumulator;
+  [[nodiscard]] bool batch_worthwhile() const { return kBatched; }
+};
+
+/// The library HashVector policy over a gated accumulator.
+template <bool kBatched>
+struct GatedHashVecPolicy : detail::HashVecPlanPolicy<I, double> {
+  using Acc = GatedHashVec<kBatched>;
+  Acc make() const { return Acc{probe}; }
+};
+
 /// Median-of-trials HashVector A^2 at one probe kind / batching setting.
-SpGemmStats measure(const Matrix& a, ProbeKind kind, bool batched) {
+template <bool kBatched>
+SpGemmStats measure(const Matrix& a, ProbeKind kind) {
   SpGemmOptions opts;
   opts.algorithm = Algorithm::kHashVector;
   opts.sort_output = SortOutput::kNo;
   opts.threads = bench_threads();
   opts.probe = kind;
-  // kOn (not kAuto) for the batched rows: the ablation measures the batch
-  // MACHINERY itself, so it must really run — including at CI smoke
-  // scales whose small tables the production kAuto gate
-  // (accumulator/hash_table.hpp, kBatchMinTableBytes) would route back to
-  // the per-key walk.  Where batched rows lose here, the shipped kAuto
-  // default simply does not engage them.
-  opts.probe_batching = batched ? ProbeBatch::kOn : ProbeBatch::kOff;
+  const auto run = [&](SpGemmStats* stats) {
+    return detail::run_once<I, double>(
+        a, a, opts, GatedHashVecPolicy<kBatched>{{kind}}, stats);
+  };
 
-  multiply(a, a, opts);  // warm-up
+  run(nullptr);  // warm-up
   std::vector<double> times;
   std::vector<SpGemmStats> stats(static_cast<std::size_t>(
       std::max(1, trials())));
   for (std::size_t t = 0; t < stats.size(); ++t) {
     Timer timer;
-    multiply(a, a, opts, &stats[t]);
+    run(&stats[t]);
     times.push_back(timer.millis());
   }
   // Median run's stats (times and stats stay index-aligned).
@@ -123,7 +142,8 @@ int main() {
     double widest_batched_sym = 0.0;
     for (const ProbeKind kind : tiers) {
       for (const bool batched : {false, true}) {
-        const SpGemmStats stats = measure(input.a, kind, batched);
+        const SpGemmStats stats = batched ? measure<true>(input.a, kind)
+                                          : measure<false>(input.a, kind);
         const std::string label = std::string(batched ? "batched-" : "perkey-") +
                                   probe_kind_name(kind);
         const double rounds_per_key =

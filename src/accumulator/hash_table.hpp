@@ -44,13 +44,14 @@
 
 namespace spgemm {
 
-/// Below this key-table size, batched probing does not pay under
-/// ProbeBatch::kAuto: a table this small stays cache-resident, each probe
-/// round costs a handful of cycles, and the driver's stanza-copy pass
-/// outweighs the pipeline's prefetch/branch wins.  Accumulators report the
-/// comparison through batch_worthwhile(); ProbeBatch::kOn overrides it
-/// (the ablation/test escape hatch).  256 KiB ~ the boundary where probe
-/// loads start leaving L2 on current hosts.
+/// Below this key-table size, batched probing does not pay: a table this
+/// small stays cache-resident, each probe round costs a handful of cycles,
+/// and the driver's stanza-copy pass outweighs the pipeline's
+/// prefetch/branch wins.  Accumulators report the comparison through
+/// batch_worthwhile(), and the driver batches exactly when it holds
+/// (bench_abl_probing overrides it in bench-local accumulators to ablate
+/// the two paths).  256 KiB ~ the boundary where probe loads start leaving
+/// L2 on current hosts.
 inline constexpr std::size_t kBatchMinTableBytes = std::size_t{1} << 18;
 
 /// Table size policy (paper Fig. 7 lines 9-12): the smallest power of two
@@ -88,8 +89,7 @@ class HashAccumulator {
     count_ = 0;
   }
 
-  /// Whether batched probing pays on this table under ProbeBatch::kAuto
-  /// (see kBatchMinTableBytes).
+  /// Whether batched probing pays on this table (see kBatchMinTableBytes).
   [[nodiscard]] bool batch_worthwhile() const {
     return table_slots_ * sizeof(IT) >= kBatchMinTableBytes;
   }

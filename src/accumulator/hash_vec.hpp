@@ -95,8 +95,8 @@ class HashVecAccumulator {
     count_ = 0;
   }
 
-  /// Whether batched probing pays on this table under ProbeBatch::kAuto
-  /// (see accumulator/hash_table.hpp, kBatchMinTableBytes).
+  /// Whether batched probing pays on this table (see
+  /// accumulator/hash_table.hpp, kBatchMinTableBytes).
   [[nodiscard]] bool batch_worthwhile() const {
     return table_slots_ * sizeof(IT) >= kBatchMinTableBytes;
   }

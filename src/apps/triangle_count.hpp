@@ -18,7 +18,9 @@
 //                               epilogue that sums each filtered row and
 //                               keeps nothing.
 // The masked two run one pass with no symbolic phase: only wedges that L
-// keeps ever reach an accumulator.
+// keeps ever reach an accumulator.  Under Algorithm::kAuto both run the
+// Hash kernel (masked_count_kernel): the Table 4 recipe has no rule for a
+// masked product, and whether SPA beats Hash there is unmeasured.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,12 @@
 #include "parallel/omp_utils.hpp"
 
 namespace spgemm::apps {
+
+/// The kernel the masked counters run: the requested one, or Hash under
+/// kAuto.
+inline Algorithm masked_count_kernel(Algorithm requested) {
+  return requested == Algorithm::kAuto ? Algorithm::kHash : requested;
+}
 
 template <IndexType IT, ValueType VT>
 struct TriangleCountResult {
@@ -47,7 +55,7 @@ TriangleCountResult<IT, VT> count_triangles_masked(
     const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
   parallel::ScopedNumThreads scoped(opts.threads);
   const TriangularSplit<IT, VT> split = prepare_triangle_split(a);
-  if (opts.algorithm == Algorithm::kAuto) opts.algorithm = Algorithm::kHash;
+  opts.algorithm = masked_count_kernel(opts.algorithm);
 
   TriangleCountResult<IT, VT> out;
   out.wedges = multiply_masked(split.lower, split.upper, split.lower, opts,
@@ -70,13 +78,7 @@ TriangleCountResult<IT, VT> count_triangles_fused(
     const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
   parallel::ScopedNumThreads scoped(opts.threads);
   const TriangularSplit<IT, VT> split = prepare_triangle_split(a);
-
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        split.lower, split.upper, recipe::Operation::kTriangular,
-        opts.sort_output, recipe::DataOrigin::kReal);
-    if (!is_two_phase(opts.algorithm)) opts.algorithm = Algorithm::kHash;
-  }
+  opts.algorithm = masked_count_kernel(opts.algorithm);
   opts.epilogue.kind = EpilogueKind::kMaskReduce;
 
   TriangleCountResult<IT, VT> out;

@@ -98,7 +98,6 @@ struct HandleTelemetry {
   telemetry::Counter& numeric_probes;
   telemetry::Counter& numeric_keys;
   telemetry::Counter& flop;
-  telemetry::Counter& tile_steals;
   static HandleTelemetry& get() {
     auto& reg = telemetry::registry();
     static HandleTelemetry t{
@@ -117,9 +116,7 @@ struct HandleTelemetry {
                     "Accumulator keys resolved by phase.", "phase", "numeric"),
         reg.counter("spgemm_flop_total",
                     "Scalar multiplications planned (per plan, not per "
-                    "execute)."),
-        reg.counter("spgemm_tile_steals_total",
-                    "Tiles run by a thread other than their owner.")};
+                    "execute).")};
     return t;
   }
 };
@@ -245,13 +242,9 @@ struct PlanCore {
   IT nrows = 0;
   IT ncols = 0;
   parallel::RowPartition part;
-  parallel::ExecutionSchedule schedule;  ///< persisted tile plan + policy
+  parallel::ExecutionSchedule schedule;  ///< persisted tile plan
   std::size_t tile_rows = 0;
   bool capture_enabled = false;
-  /// Requested batching mode for the symbolic pass (kernels whose
-  /// accumulator implements the batch-capture contract; kAuto defers to
-  /// the per-thread table-size gate).
-  ProbeBatch probe_batching = ProbeBatch::kAuto;
   /// Resolved execution tier of the vectorized numeric replay.
   ProbeKind replay_kind = ProbeKind::kScalar;
   std::size_t budget_entries = 0;
@@ -296,12 +289,13 @@ void init_plan_core(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
                                              default_budget_bytes, sizeof(IT));
   core.budget_entries = cfg.budget_entries;
   core.capture_enabled = cfg.capture_enabled;
-  core.probe_batching = cfg.probe_batching;
   core.replay_kind = resolve_probe_kind(opts.probe);
   core.tile_rows = cfg.tile_rows;
   core.masked = mask != nullptr;
-  build_schedule(core.schedule, core.part, opts, cfg,
-                 core.masked ? mask->rpts.data() : nullptr);
+  // A masked row holds at most min(flop_i, nnz(M_i)) entries, so the
+  // mask's row pointers cap the schedule's accumulator sizing.
+  core.schedule.build(core.part, cfg.tile_rows, cfg.tile_flop_target,
+                      core.masked ? mask->rpts.data() : nullptr);
 }
 
 /// The symbolic-side stats every two-phase product reports, from its core.
@@ -314,7 +308,6 @@ void fill_symbolic_stats(const PlanCore<IT, VT>& core, Offset nnz_out,
   s.symbolic_keys = core.symbolic_keys;
   s.probes = core.symbolic_probes;
   s.tile_count = core.tile_count;
-  s.tile_steals = core.schedule.steals();
   s.reuse_rows_captured = core.rows_captured;
   s.reuse_rows_total = static_cast<std::uint64_t>(core.nrows);
 }
@@ -459,8 +452,9 @@ struct KernelPlan {
                      IT ncols_b, SymbolicScratch& s) const {
     prepare_thread<kMasked>(core, tp, tid, ncols_b);
     // Masked rows probe through the column filter, never the batch pipeline.
-    s.batch = !kMasked && kPolicyBatches &&
-              thread_batches(core.probe_batching, tp.acc);
+    if constexpr (kPolicyBatches && !kMasked) {
+      s.batch = tp.acc.batch_worthwhile();
+    }
     const auto flop_bound =
         static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
     tp.capture_entries =
@@ -493,8 +487,8 @@ struct KernelPlan {
     row.cap_off = cap_used;
     if constexpr (kMasked) {
       // [kept, (position, slot) x kept] plus the gather list, reserved at
-      // its worst case; a row without products has nothing to replay.
-      row.captured = cap != nullptr && flop > 0 &&
+      // its worst case.
+      row.captured = cap != nullptr &&
                      cap_used + 1 + 2 * flop +
                              static_cast<std::size_t>(size) <=
                          tp.capture_entries;
@@ -707,10 +701,9 @@ struct KernelPlan {
   }
 
   /// Plan pass, symbolic only: capture slot streams, stage skeleton
-  /// columns, record per-row counts into core.rpts (then scanned).  Tiles
-  /// are handed out by the persisted ExecutionSchedule; the assignment this
-  /// pass settles on (including any steals) is frozen into the per-thread
-  /// tile lists, which every execute replays with perfect affinity.
+  /// columns, record per-row counts into core.rpts (then scanned).  Each
+  /// thread runs its owned tiles of the persisted ExecutionSchedule and
+  /// records them in its tile list, which every execute replays.
   template <bool kMasked>
   void build(PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
              const Matrix* mask) {
@@ -738,8 +731,7 @@ struct KernelPlan {
         Work mark = counters(tp.acc);
 
         core.schedule.for_each_tile(
-            tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
-                     bool /*stolen*/) {
+            tid, [&](const parallel::TileRange& tile) {
               tp.tiles.push_back({tile.row_begin, tile.row_end, stage_off});
               for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
                 const PlannedRow<IT> row = symbolic_row<kMasked>(
@@ -775,7 +767,7 @@ struct KernelPlan {
   Work numeric(const PlanCore<IT, VT>& core, const Matrix& a, const Matrix& b,
                const Matrix* mask, Matrix& c) {
     WorkTotal total;
-    core.schedule.reset_occupancy();
+    core.schedule.begin_pass();
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
@@ -813,7 +805,7 @@ struct KernelPlan {
     const auto nrows = static_cast<std::size_t>(core.nrows);
     c.rpts.resize(nrows + 1);
     WorkTotal total;
-    core.schedule.reset_occupancy();
+    core.schedule.begin_pass();
 #pragma omp parallel num_threads(core.nthreads)
     {
       const int tid = omp_get_thread_num();
@@ -889,8 +881,6 @@ struct KernelPlan {
             const Matrix* mask, bool fused, Matrix& c, OnceTimes& times) {
     const auto nrows = static_cast<std::size_t>(a.nrows);
     const EpilogueSpec& spec = core.opts.epilogue;
-    const bool static_tiles =
-        core.opts.tile_schedule == parallel::TileSchedule::kStatic;
     ensure_threads(core.nthreads);
     std::vector<OnceTimes> thread_times(
         static_cast<std::size_t>(core.nthreads));
@@ -911,14 +901,11 @@ struct KernelPlan {
           prepare_thread<true>(core, tp, tid, b.ncols);
         } else {
           cap = begin_symbolic<false>(core, tp, tid, b.ncols, s);
-          if (static_tiles) {
-            // Reserve at an optimistic compression ratio to limit regrowth.
-            const auto thread_flop = static_cast<std::size_t>(
-                core.part.flop_prefix[core.part.offsets[utid + 1]] -
-                core.part.flop_prefix[core.part.offsets[utid]]);
-            tp.kept_cols.reserve(thread_flop / 4 + 64);
-            tp.kept_vals.reserve(thread_flop / 4 + 64);
-          }
+          // Reserve at an optimistic compression ratio to limit regrowth.
+          const auto thread_flop =
+              static_cast<std::size_t>(core.schedule.capture_flop_bound(tid));
+          tp.kept_cols.reserve(thread_flop / 4 + 64);
+          tp.kept_vals.reserve(thread_flop / 4 + 64);
         }
         if (fused) {
           tp.epi.begin_pass(spec, static_cast<std::size_t>(b.ncols));
@@ -931,8 +918,7 @@ struct KernelPlan {
         Timer timer;
 
         core.schedule.for_each_tile(
-            tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
-                     bool /*stolen*/) {
+            tid, [&](const parallel::TileRange& tile) {
               const std::size_t r0 = tile.row_begin;
               const std::size_t r1 = tile.row_end;
               const std::size_t stage_begin = tp.kept_cols.size();
@@ -1195,7 +1181,6 @@ class SpGemmHandle {
       t.symbolic_probes.add(stats_.symbolic_probes);
       t.symbolic_keys.add(stats_.symbolic_keys);
       t.flop.add(static_cast<std::uint64_t>(stats_.flop));
-      t.tile_steals.add(stats_.tile_steals);
     }
     if (stats != nullptr) *stats = stats_;
   }
@@ -1335,12 +1320,6 @@ class SpGemmHandle {
   /// Tile size (row cap) the plan settled on.
   [[nodiscard]] std::size_t planned_tile_rows() const {
     return core_.tile_rows;
-  }
-
-  /// The persisted tile schedule the plan's symbolic pass ran under and
-  /// whose frozen assignment every execute() replays.
-  [[nodiscard]] const parallel::ExecutionSchedule& schedule() const {
-    return core_.schedule;
   }
 
   /// Engine lanes hook: mirror per-pass worker exits into `sink` so the

@@ -66,19 +66,6 @@ enum class StructureReuse : std::uint8_t {
   kOff,
 };
 
-/// Whether the two-phase driver resolves symbolic/capture keys through the
-/// accumulators' batched multi-key probing pipeline (insert_tagged_batch:
-/// vectorized hashing, chunk prefetch one block ahead, in-flight duplicate
-/// shortcuts) instead of one insert per probe round.  Batched and per-key
-/// paths are bit-identical by contract; the knob exists for ablation
-/// (bench_abl_probing) and as a safety valve.  kAuto = on for kernels whose
-/// accumulator opts in (Hash, HashVector).
-enum class ProbeBatch : std::uint8_t {
-  kAuto,
-  kOn,
-  kOff,
-};
-
 /// Where the ExecutionSchedule's tile and capture budgets come from.
 enum class BudgetSource : std::uint8_t {
   /// The fixed cache-resident target (model::kTileCaptureTargetBytes) and
@@ -200,21 +187,12 @@ struct SpGemmOptions {
   /// overrides this in turn, and the result is clamped to what the build
   /// and the host support (common/cpu_features.hpp).
   ProbeKind probe = ProbeKind::kAuto;
-  /// Batched multi-key probing for the symbolic/capture path (see
-  /// ProbeBatch).
-  ProbeBatch probe_batching = ProbeBatch::kAuto;
 
   // ---- ExecutionSchedule (parallel/execution_schedule.hpp) ---------------
   /// Rows per tile processed symbolic-then-numeric back to back.
   /// 0 = derive from the budget source.  An explicit value is honoured as a
   /// pure row cut (exactly ceil(rows/tile_rows) tiles per thread range).
   std::size_t tile_rows = 0;
-  /// How tiles are assigned to threads: static keeps the flop-balanced
-  /// per-thread row ranges of Fig. 6; dynamic feeds flop-balanced tiles to
-  /// whichever thread is free; stealing runs the static schedule until a
-  /// thread drains its own queue, then steals from the back of the nearest
-  /// busy neighbour (locality of static, tail behaviour of dynamic).
-  parallel::TileSchedule tile_schedule = parallel::TileSchedule::kStatic;
   /// Symbolic-structure capture toggle (see StructureReuse).
   StructureReuse reuse = StructureReuse::kAuto;
   /// Per-thread byte budget for the captured slot streams.  Rows whose
@@ -278,9 +256,6 @@ struct SpGemmStats {
   std::uint64_t tile_count = 0;
   std::uint64_t reuse_rows_captured = 0;
   std::uint64_t reuse_rows_total = 0;
-  /// Tiles run by a thread other than their owner (stealing schedule only;
-  /// 0 under static/dynamic, which have no ownership to violate).
-  std::uint64_t tile_steals = 0;
   /// Fused-epilogue observability: rows the epilogue hook processed and the
   /// wall time spent inside it (max across threads, like the phase spans).
   std::uint64_t epilogue_rows = 0;

@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -52,7 +53,6 @@
 #include "matrix/csr.hpp"
 #include "mem/workspace.hpp"
 #include "model/cost_model.hpp"
-#include "parallel/execution_schedule.hpp"
 #include "parallel/rows_to_threads.hpp"
 #include "telemetry/registry.hpp"
 
@@ -144,11 +144,16 @@ inline std::size_t capture_row_masked(Acc& acc, const CsrMatrix<IT, VT>& a,
 
 /// Accumulators that implement the batch-capture contract (accumulator/
 /// hash_table.hpp): insert_tagged_batch must be bit-identical to per-key
-/// insert_tagged over the same stream.
+/// insert_tagged over the same stream, and batch_worthwhile() reports
+/// whether the prepared table is large enough for batching to pay
+/// (kBatchMinTableBytes) — batching a cache-resident table just pays the
+/// stanza-copy pass for probes that were already cheap.  A thread batches
+/// exactly when its accumulator opts in and its table passes that gate.
 template <typename Acc, typename IT>
 concept BatchProbe = requires(Acc acc, const IT* keys, std::size_t n,
                               IT* slots) {
   acc.insert_tagged_batch(keys, n, slots);
+  { acc.batch_worthwhile() } -> std::convertible_to<bool>;
 };
 
 /// Keys-resolved counter of an accumulator (0 for accumulators that do not
@@ -159,27 +164,6 @@ inline std::uint64_t keys_resolved_of(const Acc& acc) {
     return acc.keys_resolved();
   } else {
     return 0;
-  }
-}
-
-/// Resolve the per-thread batching decision AFTER the accumulator is
-/// prepared: kOn forces the batch pipeline, kOff forbids it, kAuto defers
-/// to the accumulator's table-size gate (accumulator/hash_table.hpp,
-/// kBatchMinTableBytes) — batching a cache-resident table just pays the
-/// stanza-copy pass for probes that were already cheap.
-template <typename Acc>
-inline bool thread_batches(ProbeBatch requested, const Acc& acc) {
-  switch (requested) {
-    case ProbeBatch::kOff:
-      return false;
-    case ProbeBatch::kOn:
-      return true;
-    default:
-      if constexpr (requires { acc.batch_worthwhile(); }) {
-        return acc.batch_worthwhile();
-      } else {
-        return true;
-      }
   }
 }
 
@@ -657,9 +641,6 @@ inline void validate_epilogue(const EpilogueSpec& spec,
 struct TileConfig {
   std::size_t budget_entries = 0;  ///< capture slots per thread
   bool capture_enabled = false;
-  /// Requested batching mode for the symbolic/capture path; kAuto defers
-  /// to each thread accumulator's table-size gate (thread_batches()).
-  ProbeBatch probe_batching = ProbeBatch::kAuto;
   std::size_t tile_rows = 0;     ///< row cap per tile
   Offset tile_flop_target = 0;   ///< flop cut target; 0 = row cap only
 };
@@ -674,7 +655,6 @@ inline TileConfig resolve_tile_config(const parallel::RowPartition& part,
                                       std::size_t default_budget_bytes,
                                       std::size_t bytes_per_slot) {
   TileConfig cfg;
-  cfg.probe_batching = opts.probe_batching;
   std::size_t budget_bytes = opts.reuse_budget_bytes;
   std::size_t derived_tile_rows = 0;
   if (opts.budget_source == BudgetSource::kMemoryModel) {
@@ -712,17 +692,6 @@ inline TileConfig resolve_tile_config(const parallel::RowPartition& part,
         1.0, avg_row_flop * static_cast<double>(cfg.tile_rows)));
   }
   return cfg;
-}
-
-/// Build the ExecutionSchedule for one resolved configuration.
-/// `mask_rpts` (a masked product's mask row pointers, or null) caps the
-/// accumulator sizing: a masked row holds at most min(flop_i, nnz(M_i)).
-inline void build_schedule(parallel::ExecutionSchedule& schedule,
-                           const parallel::RowPartition& part,
-                           const SpGemmOptions& opts, const TileConfig& cfg,
-                           const Offset* mask_rpts) {
-  schedule.build(part, opts.tile_schedule, cfg.tile_rows,
-                 cfg.tile_flop_target, mask_rpts);
 }
 
 }  // namespace spgemm::detail

@@ -199,6 +199,18 @@ struct EngineTelemetry {
 };
 }  // namespace detail
 
+/// Trace-span events retained per pool ring (bounded overwrite; one extra
+/// ring serves the synchronous multiply/run_batch paths).  Recording only
+/// happens while telemetry::enabled(); the rings themselves are cheap.
+inline constexpr std::size_t kTraceEventsPerRing = 4096;
+
+/// Plan-cache byte budget when EngineOptions::cache_budget_bytes is 0:
+/// model::derive_cache_budget_bytes over the KNL DDR model, because
+/// retained plans live in ordinary DRAM.
+inline std::size_t default_cache_budget_bytes() {
+  return model::derive_cache_budget_bytes(model::knl_ddr());
+}
+
 struct EngineOptions {
   /// Base plan/execute options for every product the engine serves.
   /// `plan.threads` is overridden per size class (lane width for large
@@ -223,13 +235,8 @@ struct EngineOptions {
   /// Serve repeated structures from the plan cache.  Off = every request
   /// plans fresh (the baseline bench_engine_throughput compares against).
   bool cache_enabled = true;
-  /// Byte budget for retained plans; 0 derives it from `cache_tier` via
-  /// model::derive_cache_budget_bytes.
+  /// Byte budget for retained plans; 0 = default_cache_budget_bytes().
   std::size_t cache_budget_bytes = 0;
-  /// The memory tier whose capacity backs the retained plans (used only
-  /// when cache_budget_bytes == 0).  Defaults to the KNL DDR model — plans
-  /// live in ordinary DRAM; pass a smaller tier to serve from MCDRAM/LLC.
-  model::TierParams cache_tier = model::knl_ddr();
   /// Products at or below this many scalar multiplications are packed
   /// whole onto one worker; larger ones fan out across a lane.
   Offset small_flop_cutoff = Offset{1} << 15;
@@ -242,10 +249,6 @@ struct EngineOptions {
   /// whole budget is still admitted when that queue is empty — it could
   /// never run otherwise.
   Offset queue_flop_budget = 0;
-  /// Trace-span events retained per pool ring (bounded overwrite; one extra
-  /// ring serves the synchronous multiply/run_batch paths).  Recording only
-  /// happens while telemetry::enabled(); the rings themselves are cheap.
-  std::size_t trace_events = 4096;
 };
 
 /// Per-tenant attribution: requests carrying a non-negative Request::tenant
@@ -367,13 +370,13 @@ class SpGemmEngine {
             pool_threads_)),
         cache_(opts_.cache_budget_bytes > 0
                    ? opts_.cache_budget_bytes
-                   : model::derive_cache_budget_bytes(opts_.cache_tier)) {
+                   : default_cache_budget_bytes()) {
     // One trace ring per pool dispatcher plus one (index npools_) for the
     // synchronous multiply/run_batch callers.
     trace_.reserve(static_cast<std::size_t>(npools_) + 1);
     for (int p = 0; p <= npools_; ++p) {
       trace_.push_back(
-          std::make_unique<telemetry::TraceRing>(opts_.trace_events));
+          std::make_unique<telemetry::TraceRing>(kTraceEventsPerRing));
     }
     telemetry::ensure_periodic_exporter();
     pools_.reserve(static_cast<std::size_t>(npools_));

@@ -101,27 +101,42 @@ struct CsrMatrix {
   }
 
   /// Sort every row by column index (values permuted alongside) and mark
-  /// the matrix sorted.
+  /// the matrix sorted.  Work is handed out in chunks of about
+  /// kSortChunkEntries entries, not rows: after a degree reorder the
+  /// longest rows sit together at the end, and a row-count chunk would give
+  /// all of them to one thread.  A row belongs to the chunk that holds its
+  /// first entry, so a row longer than a chunk gets a chunk of its own.
   void sort_rows() {
+    constexpr Offset kSortChunkEntries = 4096;
+    const Offset chunks = (nnz() + kSortChunkEntries - 1) / kSortChunkEntries;
+    const auto first_row_at = [this](Offset entry) {
+      return static_cast<IT>(
+          std::lower_bound(rpts.data(), rpts.data() + nrows, entry) -
+          rpts.data());
+    };
     std::vector<std::pair<IT, VT>> buffer;
-#pragma omp parallel for schedule(dynamic, 64) private(buffer)
-    for (IT i = 0; i < nrows; ++i) {
-      const Offset begin = row_begin(i);
-      const Offset len = row_nnz(i);
-      if (len < 2) continue;
-      buffer.resize(static_cast<std::size_t>(len));
-      for (Offset j = 0; j < len; ++j) {
-        buffer[static_cast<std::size_t>(j)] = {
-            cols[static_cast<std::size_t>(begin + j)],
-            vals[static_cast<std::size_t>(begin + j)]};
-      }
-      std::sort(buffer.begin(), buffer.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (Offset j = 0; j < len; ++j) {
-        cols[static_cast<std::size_t>(begin + j)] =
-            buffer[static_cast<std::size_t>(j)].first;
-        vals[static_cast<std::size_t>(begin + j)] =
-            buffer[static_cast<std::size_t>(j)].second;
+#pragma omp parallel for schedule(dynamic, 1) private(buffer)
+    for (Offset chunk = 0; chunk < chunks; ++chunk) {
+      const IT end = first_row_at((chunk + 1) * kSortChunkEntries);
+      for (IT i = first_row_at(chunk * kSortChunkEntries); i < end; ++i) {
+        const Offset begin = row_begin(i);
+        const Offset len = row_nnz(i);
+        if (len < 2) continue;
+        buffer.resize(static_cast<std::size_t>(len));
+        for (Offset j = 0; j < len; ++j) {
+          buffer[static_cast<std::size_t>(j)] = {
+              cols[static_cast<std::size_t>(begin + j)],
+              vals[static_cast<std::size_t>(begin + j)]};
+        }
+        std::sort(
+            buffer.begin(), buffer.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+        for (Offset j = 0; j < len; ++j) {
+          cols[static_cast<std::size_t>(begin + j)] =
+              buffer[static_cast<std::size_t>(j)].first;
+          vals[static_cast<std::size_t>(begin + j)] =
+              buffer[static_cast<std::size_t>(j)].second;
+        }
       }
     }
     sortedness = Sortedness::kSorted;

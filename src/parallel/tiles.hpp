@@ -6,8 +6,7 @@
 // row partition so that each holds roughly `target_flop` scalar
 // multiplications (a dense row cannot stall its owner for long) and never
 // more than `row_cap` rows (a run of empty rows cannot balloon one tile's
-// bookkeeping).  How the cut tiles are *assigned* to threads — statically,
-// through a global claim counter, or through work-stealing deques — is the
+// bookkeeping).  Assigning the cut tiles to threads is the
 // ExecutionSchedule's job, not this header's.
 #pragma once
 

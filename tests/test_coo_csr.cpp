@@ -2,6 +2,7 @@
 // sortedness tracking, dense conversion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -132,6 +133,30 @@ TEST(Csr, SortRowsRestoresOrder) {
   EXPECT_TRUE(m.claims_sorted());
   EXPECT_EQ(m.cols, (mem::Buffer<I>{0, 2, 4}));
   EXPECT_DOUBLE_EQ(m.vals[1], 2.0);
+
+  // Rows of every length across the sort's work chunks (thousands of
+  // entries each): short rows, empty rows, and long rows that straddle
+  // chunk boundaries, all stored in descending column order with value ==
+  // column so the pairing is checked too.
+  const I n = 12000;
+  Triplets trips;
+  for (I i = 0; i < 64; ++i) {
+    const I len = i % 8 == 7 ? 5000 + 37 * i : i % 3;
+    for (I j = 0; j < len; ++j) trips.push_back({i, j, static_cast<double>(j)});
+  }
+  auto big = csr_from_triplets<I, double>(64, n, trips);
+  for (I i = 0; i < big.nrows; ++i) {
+    std::reverse(big.cols.begin() + big.row_begin(i),
+                 big.cols.begin() + big.row_end(i));
+    std::reverse(big.vals.begin() + big.row_begin(i),
+                 big.vals.begin() + big.row_end(i));
+  }
+  big.sortedness = Sortedness::kUnsorted;
+  big.sort_rows();
+  EXPECT_TRUE(big.rows_are_ascending());
+  for (std::size_t k = 0; k < big.cols.size(); ++k) {
+    ASSERT_EQ(big.vals[k], static_cast<double>(big.cols[k]));
+  }
 }
 
 TEST(Csr, IdentityProperties) {

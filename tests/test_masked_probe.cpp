@@ -235,22 +235,6 @@ TEST(MaskedProbe, OneShotUnsortedOutputHoldsTheSameEntries) {
   }
 }
 
-TEST(MaskedProbe, StealingScheduleSizesForTheGlobalMaskedRow) {
-  const Operands ops = make_operands(/*integer=*/false);
-  const std::vector<MaskCase> masks = mask_cases(ops);
-  for (const auto schedule :
-       {parallel::TileSchedule::kDynamic, parallel::TileSchedule::kStealing}) {
-    SpGemmOptions opts = opts_for(Algorithm::kHash, 4);
-    opts.tile_schedule = schedule;
-    opts.tile_rows = 8;
-    const Matrix full = multiply(ops.a, ops.b, opts);
-    for (const MaskCase& mc : masks) {
-      expect_bitwise_equal(multiply_masked(ops.a, ops.b, mc.mask, opts),
-                           filter_by_mask(full, mc.mask), mc.name);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Plan + replay: a handle planned with a mask attached.
 // ---------------------------------------------------------------------------
@@ -289,6 +273,12 @@ TEST(MaskedProbe, HandleReplayEqualsFilteredFullProductBitwise) {
             EXPECT_LT(handle.capture_rate(), 1.0) << label;
           } else if (mode == "reprobe") {
             EXPECT_EQ(handle.capture_rate(), 0.0) << label;
+          } else if (mode == "default" && mc.name != "full-product") {
+            // The default budget captures every row of these masks; rows
+            // without products count as captured, as in an unmasked plan.
+            // (The full-product mask keeps every product, so its late rows
+            // overflow the two-slots-per-flop capture bound and re-probe.)
+            EXPECT_EQ(handle.capture_rate(), 1.0) << label;
           }
           expect_bitwise_equal(handle.execute(ops.a, ops.b), expected,
                                label + " first");

@@ -4,19 +4,22 @@
 // The capture/replay pipeline folds numeric contributions in exactly the
 // traversal order of the classic re-probing path, so reuse-on and reuse-off
 // products must be BIT-identical — structure and values — in both sorted
-// and unsorted modes, at any thread count, under both tile schedules, and
-// across capture-budget fallbacks (dense rows spilling the budget).  With
+// and unsorted modes, at any thread count, with batched or per-key probing,
+// and across capture-budget fallbacks (dense rows spilling the budget).  With
 // integer-valued doubles the products are exact, so the reference oracle
 // must match bitwise too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <string>
 #include <vector>
 
+#include "common/cpu_features.hpp"
 #include "core/multiply.hpp"
 #include "core/spgemm_handle.hpp"
 #include "core/spgemm_hash.hpp"
+#include "core/spgemm_policies.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/rmat.hpp"
 #include "model/cost_model.hpp"
@@ -63,11 +66,56 @@ void expect_bitwise_equal(const Matrix& x, const Matrix& y,
   }
 }
 
+/// Accumulator `Base` with its batching gate (kBatchMinTableBytes) fixed
+/// open or shut, counting the insert_tagged_batch calls the driver makes.
+template <typename Base, bool kBatched>
+struct GatedAcc : Base {
+  GatedAcc(Base base, std::atomic<std::uint64_t>* calls)
+      : Base(std::move(base)), batch_calls(calls) {}
+  [[nodiscard]] bool batch_worthwhile() const { return kBatched; }
+  void insert_tagged_batch(const I* keys, std::size_t n, I* slots_out) {
+    batch_calls->fetch_add(1, std::memory_order_relaxed);
+    Base::insert_tagged_batch(keys, n, slots_out);
+  }
+  std::atomic<std::uint64_t>* batch_calls;
+};
+
+/// A library policy over GatedAcc: the driver batches on every thread
+/// (kBatched) or on none, whatever the table size.
+template <typename BasePolicy, bool kBatched>
+struct GatedPolicy : BasePolicy {
+  using Acc = GatedAcc<typename BasePolicy::Acc, kBatched>;
+  std::atomic<std::uint64_t>* batch_calls = nullptr;
+  Acc make() const { return Acc(BasePolicy::make(), batch_calls); }
+};
+
+/// Batched and per-key probing must be bit-identical to `expected` (the
+/// batch-capture contract of accumulator/hash_table.hpp).  The gated
+/// policies make the batch pipeline really run on small inputs, and the
+/// call count proves it did.
+template <typename BasePolicy>
+void expect_batched_matches_per_key(const Matrix& a,
+                                    const SpGemmOptions& opts,
+                                    const BasePolicy& base,
+                                    const Matrix& expected) {
+  std::atomic<std::uint64_t> batched_calls{0};
+  std::atomic<std::uint64_t> per_key_calls{0};
+  const Matrix batched = detail::run_once<I, double>(
+      a, a, opts, GatedPolicy<BasePolicy, true>{base, &batched_calls},
+      nullptr);
+  const Matrix per_key = detail::run_once<I, double>(
+      a, a, opts, GatedPolicy<BasePolicy, false>{base, &per_key_calls},
+      nullptr);
+  EXPECT_GT(batched_calls.load(), 0u) << "the batched path did not run";
+  EXPECT_EQ(per_key_calls.load(), 0u);
+  expect_bitwise_equal(expected, batched, "batched probing");
+  expect_bitwise_equal(expected, per_key, "per-key probing");
+}
+
 struct ReuseParam {
   Algorithm algo;
   SortOutput sort;
   int threads;
-  parallel::TileSchedule tiles;
 };
 
 std::string reuse_name(const ::testing::TestParamInfo<ReuseParam>& info) {
@@ -75,8 +123,9 @@ std::string reuse_name(const ::testing::TestParamInfo<ReuseParam>& info) {
   std::string name = algorithm_name(p.algo);
   name += p.sort == SortOutput::kYes ? "_sorted" : "_unsorted";
   name += "_t" + std::to_string(p.threads);
-  name += "_";
-  name += parallel::tile_schedule_name(p.tiles);
+  // Every case runs the one static tile schedule; the suffix keeps the
+  // case names stable across the schedule's history.
+  name += "_static_tiles";
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -93,7 +142,6 @@ TEST_P(ReuseSweep, ReuseOnOffAndReferenceBitIdentical) {
   opts.algorithm = p.algo;
   opts.sort_output = p.sort;
   opts.threads = p.threads;
-  opts.tile_schedule = p.tiles;
 
   opts.reuse = StructureReuse::kOn;
   SpGemmStats on_stats;
@@ -106,19 +154,16 @@ TEST_P(ReuseSweep, ReuseOnOffAndReferenceBitIdentical) {
   expect_bitwise_equal(with_reuse, without_reuse, "reuse on vs off");
   EXPECT_NO_THROW(with_reuse.validate());
 
-  // Batched vs per-key probing must be bit-identical too (the batch-capture
-  // contract of accumulator/hash_table.hpp) across kernels, sortedness,
-  // threads and tile schedules.  kOn overrides the table-size gate so the
-  // batch pipeline really runs on these small inputs; kOff forbids it.
+  // The kernels whose accumulators opt into batched probing: batched and
+  // per-key must match across sortedness and threads.
   opts.reuse = StructureReuse::kOn;
-  opts.probe_batching = ProbeBatch::kOn;
-  const Matrix batch_probed = multiply(a, a, opts);
-  expect_bitwise_equal(with_reuse, batch_probed, "forced-batch probing");
-  opts.probe_batching = ProbeBatch::kOff;
-  const Matrix per_key_probed = multiply(a, a, opts);
-  expect_bitwise_equal(with_reuse, per_key_probed,
-                       "batched vs per-key probing");
-  opts.probe_batching = ProbeBatch::kAuto;
+  if (p.algo == Algorithm::kHash) {
+    expect_batched_matches_per_key(a, opts, detail::HashPlanPolicy<I, double>{},
+                                   with_reuse);
+  } else if (p.algo == Algorithm::kHashVector) {
+    expect_batched_matches_per_key(
+        a, opts, detail::HashVecPlanPolicy<I, double>{opts.probe}, with_reuse);
+  }
 
   // Reuse observability: every row should be captured at the default
   // budget, and the replayed numeric phase must not probe.
@@ -146,11 +191,7 @@ std::vector<ReuseParam> build_reuse_sweep() {
         Algorithm::kKkHash}) {
     for (const SortOutput sort : {SortOutput::kYes, SortOutput::kNo}) {
       for (const int threads : {1, 4}) {
-        for (const parallel::TileSchedule tiles :
-             {parallel::TileSchedule::kStatic,
-              parallel::TileSchedule::kDynamic}) {
-          out.push_back({algo, sort, threads, tiles});
-        }
+        out.push_back({algo, sort, threads});
       }
     }
   }
@@ -239,14 +280,8 @@ TEST(ReuseEdgeCases, ThreadCountInvariance) {
   const Matrix baseline = multiply(a, a, opts);
   for (const int threads : {2, 3, 8}) {
     opts.threads = threads;
-    for (const parallel::TileSchedule tiles :
-         {parallel::TileSchedule::kStatic,
-          parallel::TileSchedule::kDynamic}) {
-      opts.tile_schedule = tiles;
-      const Matrix c = multiply(a, a, opts);
-      expect_bitwise_equal(c, baseline,
-                           "threads=" + std::to_string(threads));
-    }
+    const Matrix c = multiply(a, a, opts);
+    expect_bitwise_equal(c, baseline, "threads=" + std::to_string(threads));
   }
 }
 
@@ -301,20 +336,32 @@ TEST(ReusePlanner, PlanMeasuresCollisionFactorAndTiles) {
 }
 
 TEST(ReusePlanner, CollisionFactorFlooredUnderBatchedProbing) {
-  // Every row shares the same few columns, so most keys in a 16-lane batch
-  // window duplicate an earlier lane and retire WITHOUT a probe round.
-  // The cost model's c is defined against per-key probing (>= one round
-  // per key); collision_factor() must floor the batched round count so
-  // reuse_pays() is not skewed on exactly these duplicate-heavy inputs.
+  // Rows 0..8191 hold columns 0..3, so every 8- or 16-lane batch window
+  // holds keys that duplicate an earlier lane and retire WITHOUT a probe
+  // round.  Row 8192 holds columns 0..8191: its 8192 * 4 = 32768 products
+  // size the single thread's table at 65536 slots (256 KiB), so the
+  // table-size gate (kBatchMinTableBytes) opens and the plan probes
+  // batched.  The cost model's c is defined against per-key probing (>= one
+  // round per key); collision_factor() must floor the batched round count
+  // so reuse_pays() is not skewed on exactly these duplicate-heavy inputs.
+  const I n = 32768;
   std::vector<std::tuple<I, I, double>> trips;
-  for (I i = 0; i < 512; ++i) {
-    for (I j = 0; j < 8; ++j) trips.emplace_back(i, j, 1.0);
+  for (I i = 0; i < 8192; ++i) {
+    for (I j = 0; j < 4; ++j) trips.emplace_back(i, j, 1.0);
   }
-  const Matrix a = csr_from_triplets<I, double>(512, 512, trips);
+  for (I j = 0; j < 8192; ++j) trips.emplace_back(8192, j, 1.0);
+  const Matrix a = csr_from_triplets<I, double>(n, n, trips);
   SpGemmOptions opts;
   opts.algorithm = Algorithm::kHashVector;
-  opts.probe_batching = ProbeBatch::kOn;
-  SpGemmHandle<I, double> plan(a, a, opts);
+  opts.threads = 1;
+  SpGemmStats stats;
+  SpGemmHandle<I, double> plan(a, a, opts, &stats);
+  // The duplicate-in-flight shortcut exists on the SIMD tiers only; the
+  // scalar batch resolves every key with a round, like the per-key walk.
+  if (resolve_probe_kind(opts.probe) != ProbeKind::kScalar) {
+    ASSERT_LT(stats.symbolic_probes, stats.symbolic_keys)
+        << "the batched path must retire duplicate keys without a round";
+  }
   EXPECT_GE(plan.collision_factor(), 1.0);
   EXPECT_TRUE(plan.reuse_pays());
 }
